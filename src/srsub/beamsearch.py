@@ -14,7 +14,16 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .dag import ExprDag, compose, rename_vars, solve_for
-from .depmeasure import DependenceScore, chatterjee_xi, codec, compute_ranks, kmac, volume_score
+from .depmeasure import (
+    DependenceScore,
+    NeighborMap,
+    chatterjee_xi,
+    codec,
+    compute_ranks,
+    kmac,
+    neighbor_map,
+    volume_score,
+)
 from .errors import DegenerateY, TooFewRows
 from .exprtext import to_text
 from .grammar import GrammarBudget
@@ -22,6 +31,7 @@ from .substitution import (
     CANDIDATE_CAP,
     Dataset,
     InputSub,
+    OutInputSub,
     Substitution,
     aifeynman_candidates,
     apply_substitution,
@@ -83,27 +93,38 @@ class SearchResult:
         return self.best_path[0]
 
 
-def _score_dataset(ds: Dataset, measure: str, y_ranks=None) -> DependenceScore:
+def _uses_neighbor_map(measure: str, d: int) -> bool:
+    return measure in ("codec", "kmac") or (measure == "xi" and d > 1)
+
+
+def _score_dataset(ds: Dataset, measure: str, y_ranks=None,
+                   nn: NeighborMap | None = None) -> DependenceScore:
     if measure == "codec":
-        return codec(ds.X, ds.y, ranks=y_ranks)
+        return codec(ds.X, ds.y, ranks=y_ranks, nn=nn)
     if measure == "kmac":
-        return kmac(ds.X, ds.y)
+        return kmac(ds.X, ds.y, nn=nn)
     if measure == "volume":
         return volume_score(ds.X, ds.y)
     # the univariate rank coefficient applies to one-column problems; its
     # multivariate generalization covers the rest
     if ds.d == 1:
         return DependenceScore(chatterjee_xi(ds.X[:, 0], ds.y).value, "xi")
-    return replace(codec(ds.X, ds.y, ranks=y_ranks), measure="xi")
+    return replace(codec(ds.X, ds.y, ranks=y_ranks, nn=nn), measure="xi")
 
 
 def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
-                    parent_ranks=None) -> tuple[Dataset, DependenceScore] | None:
+                    parent_ranks=None, nn_maps: dict | None = None
+                    ) -> tuple[Dataset, DependenceScore] | None:
     """Apply a substitution and score the transformed problem.
 
     Returns None when the candidate is rejected: too many rows dropped, a
     near-constant output, a resolution-collapsed input column, or a
     degenerate rank denominator.
+
+    `nn_maps` collects the neighbor maps of out-input children of this one
+    parent.  Such a child's inputs are the parent's columns outside I on the
+    surviving rows, so (I, surviving rows) keys its map, which is built
+    once and reused by every later out-input candidate with that key.
     """
     try:
         ds = apply_substitution(parent.dataset, sub)
@@ -113,12 +134,19 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
         return None
     if isinstance(sub, InputSub) and degenerate_column(ds.X[:, 0]):
         return None
+    nn = None
+    if (nn_maps is not None and isinstance(sub, OutInputSub)
+            and _uses_neighbor_map(measure, ds.d)):
+        key = (sub.I, ds.origin_rows.tobytes())
+        nn = nn_maps.get(key)
+        if nn is None:
+            nn = nn_maps[key] = neighbor_map(ds.X)
     try:
         if isinstance(sub, InputSub) and ds.n == parent.dataset.n:
             # output untouched and no rows dropped: reuse the parent's ranks
             score = _score_dataset(ds, measure, y_ranks=parent_ranks)
         else:
-            score = _score_dataset(ds, measure)
+            score = _score_dataset(ds, measure, nn=nn)
     except DegenerateY:
         return None
     return ds, score
@@ -160,11 +188,12 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
             except ValueError:
                 continue
             n_cand = 0
+            nn_maps: dict = {}
             for sub in _candidates(parent.dataset.d, cfg):
                 if n_cand >= CANDIDATE_CAP:
                     break
                 n_cand += 1
-                scored = score_candidate(parent, sub, cfg.measure, parent_ranks)
+                scored = score_candidate(parent, sub, cfg.measure, parent_ranks, nn_maps)
                 if scored is None:
                     continue
                 ds, score = scored

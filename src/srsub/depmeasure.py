@@ -67,17 +67,32 @@ def _standardize(X: np.ndarray) -> np.ndarray:
     return (X - mean) / std
 
 
+def neighbor_map(X: np.ndarray) -> NeighborMap:
+    """1-NN map of X after per-column standardization: the graph that codec
+    and kmac score over.  It depends on X alone, so callers scoring several
+    outputs against one design matrix can build it once and pass it in."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    return nearest_neighbors(_standardize(X))
+
+
 def nearest_neighbors(X: np.ndarray) -> NeighborMap:
     """1-NN map with deterministic lowest-index tie-breaking.
 
-    Uses a k-d tree for dimension <= 16 and brute force beyond that.  Ties
-    (exact-duplicate points included) resolve to the lowest index; rows whose
-    tie set may extend past the query window fall back to a brute-force scan.
+    One column is searched exactly by sorting; up to 16 columns use a k-d
+    tree, and brute force beyond that.  A neighbor whose squared distance is
+    within relative 1e-12 (plus 1e-300) of the nearest counts as a tie.
+    Ties (exact-duplicate points included) resolve to the lowest index; rows
+    whose tie set may hold more than one point, or extend past the query
+    window, fall back to a brute-force scan.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if n < 2:
         raise ValueError("need at least two rows")
+    if d == 1:
+        return NeighborMap(_sorted_nn_1d(X))
     if d > _KDTREE_MAX_DIM:
         return NeighborMap(_brute_force_nn(X))
     k = min(n, 4)
@@ -86,7 +101,7 @@ def nearest_neighbors(X: np.ndarray) -> NeighborMap:
     valid = idx != rows[:, None]
     # distance to the closest non-self candidate
     dmin = np.where(valid, dist, np.inf).min(axis=1)
-    tol = dmin * (1 + 1e-12) + 1e-300
+    tol = _tie_tolerance(dmin)
     tie = valid & (dist <= tol[:, None])
     nu = np.where(tie, idx, n).min(axis=1).astype(np.int64)
     # the window may hide an equidistant lower index when its far edge still
@@ -95,6 +110,46 @@ def nearest_neighbors(X: np.ndarray) -> NeighborMap:
     for i in np.flatnonzero(unsure):
         nu[i] = _brute_force_row(X, i)
     return NeighborMap(nu)
+
+
+def _tie_tolerance(dmin: np.ndarray) -> np.ndarray:
+    """Distance bound that holds every tie of `_brute_force_row`, which ties
+    squared distances d2 <= dmin2 * (1 + 1e-12) + 1e-300.  A row with one
+    point inside it has that point as its tie set; a wider bound only sends
+    more rows to the brute-force scan."""
+    return dmin * (1 + 1e-12) + 1e-150
+
+
+def _sorted_nn_1d(X: np.ndarray) -> np.ndarray:
+    """Exact 1-NN of a single column from its sorted order.
+
+    The points within tie distance of a value are contiguous in sorted
+    order, so the two neighbors on each side decide whether the nearest is
+    unique.  Rows with a second point in the tie set go to the brute-force
+    scan, as in the k-d tree path.
+    """
+    n = len(X)
+    order = np.argsort(X[:, 0], kind="stable")
+    xs = X[order, 0]
+    inf1, inf2 = np.full(1, np.inf), np.full(2, np.inf)
+    # distances as the k-d tree and the brute-force scan see them, through
+    # the squared difference, so that underflow and overflow agree
+    with np.errstate(over="ignore", under="ignore"):
+        gap1 = np.sqrt(np.square(np.diff(xs)))  # to the next sorted value
+        gap2 = np.sqrt(np.square(xs[2:] - xs[:-2]))  # to the value two places on
+    left = np.concatenate([inf1, gap1])
+    right = np.concatenate([gap1, inf1])
+    tol = _tie_tolerance(np.minimum(left, right))
+    near_left = left <= tol
+    ties = (near_left.astype(np.int8) + (right <= tol)
+            + (np.concatenate([inf2, gap2]) <= tol)
+            + (np.concatenate([gap2, inf2]) <= tol))
+    pos = np.arange(n)
+    nu = np.empty(n, dtype=np.int64)
+    nu[order] = order[np.where(near_left, pos - 1, np.minimum(pos + 1, n - 1))]
+    for i in order[ties > 1]:
+        nu[i] = _brute_force_row(X, i)
+    return nu
 
 
 def _brute_force_nn(X: np.ndarray) -> np.ndarray:
@@ -133,17 +188,23 @@ def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> DependenceScore:
     return DependenceScore(1.0 - num / den, "xi")
 
 
+def _neighbor_indices(X: np.ndarray, n: int, nn: NeighborMap | None) -> np.ndarray:
+    nu = (nn if nn is not None else neighbor_map(X)).nu
+    if len(nu) != n:
+        raise ValueError("neighbor map and output differ in length")
+    return nu
+
+
 def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
-          ranks: RankVectors | None = None) -> DependenceScore:
+          ranks: RankVectors | None = None,
+          nn: NeighborMap | None = None) -> DependenceScore:
     """Multivariate dependence via nearest-neighbor rank comparison.
 
     `form` selects between the direct minimum-based numerator and the
     algebraically rewritten numerator (n/2)(R + S - sum|r_i - r_nu(i)|) - L;
-    the two agree exactly.
+    the two agree exactly.  `ranks` may carry precomputed ranks of y, and
+    `nn` the precomputed `neighbor_map(X)`; X is not read when `nn` is given.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     if n < 3:
@@ -151,7 +212,7 @@ def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
     if ranks is None:
         ranks = compute_ranks(y)
     r, l = ranks.r, ranks.l
-    nu = nearest_neighbors(_standardize(X)).nu
+    nu = _neighbor_indices(X, n, nn)
     den = int((l * (n - l)).sum())
     if den == 0:
         raise DegenerateY("constant output column")
@@ -186,16 +247,15 @@ def default_bandwidth(y: np.ndarray) -> float:
     raise DegenerateY("constant output column")
 
 
-def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None) -> DependenceScore:
+def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None,
+         nn: NeighborMap | None = None) -> DependenceScore:
     """Kernel association over the 1-NN graph with a Gaussian RBF kernel.
 
     score = [mean_i k(y_i, y_nu(i)) - cross] / [k(0) - cross] where `cross`
     is the mean kernel value over distinct pairs (subsampled above 2000
-    rows).
+    rows).  `nn` may carry the precomputed `neighbor_map(X)`; X is not read
+    when it is given.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     if n < 3:
@@ -204,7 +264,7 @@ def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None) -> Depend
         bandwidth = default_bandwidth(y)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    nu = nearest_neighbors(_standardize(X)).nu
+    nu = _neighbor_indices(X, n, nn)
     inv2bw2 = 1.0 / (2.0 * bandwidth * bandwidth)
     local = float(np.exp(-((y - y[nu]) ** 2) * inv2bw2).mean())
     ys = y

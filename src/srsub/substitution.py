@@ -10,6 +10,7 @@ it, so solutions of reduced problems can be translated back.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -332,13 +333,42 @@ def near_constant(y: np.ndarray) -> bool:
     return float(y.std()) <= NEAR_CONSTANT_REL_STD * abs(float(y.mean()))
 
 
+def _quartile_bounds(n: int, q: float) -> tuple[int, int, float]:
+    """Order statistics and weight that np.quantile's default linear method
+    interpolates between for quantile q of n values."""
+    pos = (n - 1) * q
+    below = math.floor(pos)
+    return below, min(below + 1, n - 1), pos - below
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's quantile interpolation, rounding included: from the far end
+    when t >= 0.5."""
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
+
+
+def _quartiles_and_range(x: np.ndarray) -> tuple[float, float, float, float]:
+    """(q25, q75, min, max) of x from one partial sort; q25 and q75 equal
+    np.quantile(x, [0.25, 0.75]) bit for bit."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    b25, a25, t25 = _quartile_bounds(n, 0.25)
+    b75, a75, t75 = _quartile_bounds(n, 0.75)
+    s = np.partition(x, sorted({0, b25, a25, b75, a75, n - 1}))
+    return (_lerp(float(s[b25]), float(s[a25]), t25),
+            _lerp(float(s[b75]), float(s[a75]), t75),
+            float(s[0]), float(s[n - 1]))
+
+
 def degenerate_column(x: np.ndarray) -> bool:
     """A transformed input column whose bulk collapses below float
     resolution (outliers so extreme that the interquartile range vanishes
     relative to the full range); nearest-neighbor geometry on such a column
     reduces to arbitrary tie-breaking."""
-    q25, q75 = np.quantile(x, [0.25, 0.75])
-    lo, hi = float(np.min(x)), float(np.max(x))
+    q25, q75, lo, hi = _quartiles_and_range(x)
     if hi == lo:
         return True
     return (q75 - q25) <= 1e-12 * (hi - lo)

@@ -121,6 +121,7 @@ def test_criterion_04_washburn_end_to_end():
             f"runtime {elapsed:.1f}s < 120s")
 
 
+@pytest.mark.slow
 def test_criterion_05_desk_scale_reduction_rates(feynman_report_poly, eponymous_report):
     fey = feynman_report_poly.aggregates["reduction_rate"]
     epo = eponymous_report.aggregates["reduction_rate"]
@@ -130,6 +131,7 @@ def test_criterion_05_desk_scale_reduction_rates(feynman_report_poly, eponymous_
             f"named-equation {epo:.3f} (target 0.35+-0.15)")
 
 
+@pytest.mark.slow
 def test_criterion_06_ablation_direction(feynman_report_poly, feynman_rates_by_arm):
     both = feynman_report_poly.aggregates["reduction_rate"]
     inp = feynman_rates_by_arm["input"]
@@ -140,6 +142,7 @@ def test_criterion_06_ablation_direction(feynman_report_poly, feynman_rates_by_a
             f"gap {both - inp:.3f} >= 0.05")
 
 
+@pytest.mark.slow
 def test_criterion_07_noise_robustness(feynman_rates_by_noise):
     gaps = {g: feynman_rates_by_noise[(g, "codec")] - feynman_rates_by_noise[(g, "volume")]
             for g in (0.01, 0.1)}
@@ -152,6 +155,7 @@ def test_criterion_07_noise_robustness(feynman_rates_by_noise):
     _report(7, ok, detail + "; required gap >= 0.15")
 
 
+@pytest.mark.slow
 def test_criterion_08_poly_recovery_boost(feynman_report_poly):
     base = feynman_report_poly.aggregates["base_recovered"]
     beam = feynman_report_poly.aggregates["beam_recovered"]

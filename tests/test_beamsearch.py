@@ -227,3 +227,108 @@ def test_root_needs_thirty_rows():
     ds = _dataset_from("x1+x2", n=10)
     with pytest.raises(ValueError):
         search(ds, BeamConfig())
+
+
+def _record_scoring(monkeypatch):
+    """Log (parent, sub, transformed dataset, score) for the root and for
+    every candidate that reaches scoring; the root has no parent or sub."""
+    import srsub.beamsearch as bs
+
+    calls = []
+    current = []
+    score_candidate_orig = bs.score_candidate
+    score_dataset_orig = bs._score_dataset
+
+    def score_candidate_spy(parent, sub, *args, **kwargs):
+        current.append((parent, sub))
+        try:
+            return score_candidate_orig(parent, sub, *args, **kwargs)
+        finally:
+            current.pop()
+
+    def score_dataset_spy(ds, measure, *args, **kwargs):
+        score = score_dataset_orig(ds, measure, *args, **kwargs)
+        parent, sub = current[-1] if current else (None, None)
+        calls.append((parent, sub, ds, score))
+        return score
+
+    monkeypatch.setattr(bs, "score_candidate", score_candidate_spy)
+    monkeypatch.setattr(bs, "_score_dataset", score_dataset_spy)
+    return calls
+
+
+def test_shared_neighbor_maps_give_fresh_codec_scores(monkeypatch):
+    from srsub import codec
+
+    # y is negative on a few percent of rows, so out-input candidates such
+    # as sqrt(y) or log(y) drop rows
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.uniform(0.5, 2.0, 300), rng.uniform(0.5, 2.0, 300),
+                         rng.uniform(-0.6, 2.0, 300)])
+    ds = Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2])
+    calls = _record_scoring(monkeypatch)
+    search(ds, BeamConfig(beam_size=3))
+    outinput = [(p, s, c) for p, s, c, _ in calls if isinstance(s, OutInputSub)]
+    assert any(c.n < p.dataset.n for p, _, c in outinput)
+    for _, _, child, score in calls:
+        assert score.value == codec(child.X, child.y).value
+
+
+def test_neighbor_map_built_once_per_outinput_key(monkeypatch):
+    import srsub.depmeasure as dm
+
+    # one-operator substitutions keep level-1 children at two columns, so
+    # level 2 expands several parents; zeros in x3 make y/x3 drop rows
+    rng = np.random.default_rng(1)
+    X = np.column_stack([rng.uniform(0.5, 2.0, 300), rng.uniform(0.5, 2.0, 300),
+                         rng.uniform(-1.0, 2.0, 300)])
+    X[::20, 2] = 0.0
+    ds = Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2])
+    cfg = BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0))
+    n_nn = [0]
+    nearest_neighbors_orig = dm.nearest_neighbors
+
+    def counting_nearest_neighbors(X):
+        n_nn[0] += 1
+        return nearest_neighbors_orig(X)
+
+    monkeypatch.setattr(dm, "nearest_neighbors", counting_nearest_neighbors)
+    calls = _record_scoring(monkeypatch)
+    search(ds, cfg)
+    n_root = sum(1 for _, sub, _, _ in calls if sub is None)
+    n_input = sum(1 for _, sub, _, _ in calls if isinstance(sub, InputSub))
+    outinput = [(parent, sub, child) for parent, sub, child, _ in calls
+                if isinstance(sub, OutInputSub)]
+    keys = {(id(parent), sub.I, child.origin_rows.tobytes()) for parent, sub, child in outinput}
+    assert n_root == 1 and n_input > 0
+    # several parents, repeated keys within them, and dropped rows among them
+    assert len({parent_id for parent_id, _, _ in keys}) > 1
+    assert len(keys) < len(outinput)
+    assert any(child.n < parent.dataset.n for parent, _, child in outinput)
+    assert n_nn[0] == n_root + n_input + len(keys)
+
+
+def test_shared_neighbor_map_keyed_by_surviving_rows():
+    # two out-input candidates on the same column drop equally many rows,
+    # but different ones: sqrt(y) drops y < 0, sqrt(x1 - y) drops y > x1
+    from srsub import codec
+
+    rng = np.random.default_rng(59)
+    X = rng.uniform(0.5, 2.0, size=(200, 2))
+    y = rng.uniform(0.1, 0.4, size=200)
+    y[:10] = -1.0
+    y[10:20] = 5.0
+    ds = Dataset.from_arrays(X, y)
+    root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
+    nn_maps = {}
+    children = []
+    for h in ("sqrt(x2)*x1", "sqrt(x1-x2)"):
+        scored = score_candidate(root, OutInputSub(h=parse(h, arity=2), I=(0,)), "codec",
+                                 nn_maps=nn_maps)
+        assert scored is not None
+        children.append(scored)
+    (a, score_a), (b, score_b) = children
+    assert a.n == b.n and not np.array_equal(a.origin_rows, b.origin_rows)
+    assert len(nn_maps) == 2
+    assert score_a.value == codec(a.X, a.y).value
+    assert score_b.value == codec(b.X, b.y).value

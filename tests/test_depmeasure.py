@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srsub import chatterjee_xi, codec, compute_ranks, kmac, volume_score
-from srsub.depmeasure import default_bandwidth, nearest_neighbors, parallelepiped_volumes, _standardize
+from srsub.depmeasure import (
+    _standardize,
+    default_bandwidth,
+    nearest_neighbors,
+    neighbor_map,
+    parallelepiped_volumes,
+)
 from srsub.errors import DegenerateY
 
 from oracles import (
@@ -69,6 +77,84 @@ def test_nearest_neighbor_map_matches_bruteforce():
     exp = nn_bruteforce(X)
     assert np.array_equal(got, exp)
     assert got[50] == 10 or got[10] == 50
+
+
+# relative perturbations that put neighbors within or just outside the
+# 1e-12 tie tolerance
+_NEAR_TIE = (0.0, 0.0, 1e-12, -1e-12, 5e-13, 3e-12)
+
+
+@st.composite
+def _tie_heavy_points(draw):
+    """Points in one or two columns on a small integer grid (many
+    equidistant neighbors), optionally spread by a continuous offset, with
+    near-tie perturbations and exact duplicate rows."""
+    d = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(2, 40))
+    half_width = draw(st.integers(1, 8))
+    cells = n * d
+    X = np.array(draw(st.lists(st.integers(-half_width, half_width),
+                               min_size=cells, max_size=cells)), dtype=float)
+    if draw(st.booleans()):
+        X = X + np.array(draw(st.lists(st.floats(0.0, 0.99), min_size=cells, max_size=cells)))
+    rel = draw(st.lists(st.sampled_from(_NEAR_TIE), min_size=cells, max_size=cells))
+    X = (X * (1.0 + np.array(rel)) * draw(st.sampled_from((1.0, 0.37, 1e3)))).reshape(n, d)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=6)):
+        X[j] = X[i]
+    return X
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_points())
+def test_nearest_neighbors_matches_bruteforce_property(X):
+    assert np.array_equal(nearest_neighbors(X).nu, nn_bruteforce(X))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rel, expected", [(4e-13, 1), (1e-12, 2), (3e-12, 2)])
+def test_nearest_neighbors_near_tie_at_relative_1e12(d, rel, expected):
+    # row 0 sits between a neighbor at distance 1 (index 2) and one at
+    # distance 1 + rel (index 1).  Squared distances within relative 1e-12
+    # tie, and a tie goes to the lower index.
+    x = np.array([0.0, -(1.0 + rel), 1.0, 5.0, 9.0])
+    X = np.column_stack([x] + [np.zeros_like(x)] * (d - 1))
+    got = nearest_neighbors(X).nu
+    assert np.array_equal(got, nn_bruteforce(X))
+    assert got[0] == expected
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("tiny", [1e-177, 1.3e-151])
+def test_nearest_neighbors_tie_floor_of_squared_distances(d, tiny):
+    # squared distances within 1e-300 of the nearest tie, so a point 1e-151
+    # or 1e-177 away ties with an exact duplicate, and the lower index wins
+    x = np.array([0.0, 1.0, tiny, 0.0, 2.0])
+    X = np.column_stack([x] + [np.zeros_like(x)] * (d - 1))
+    got = nearest_neighbors(X).nu
+    assert np.array_equal(got, nn_bruteforce(X))
+    assert got[0] == 2
+
+
+def test_nearest_neighbors_one_column_ties_and_duplicates():
+    rng = np.random.default_rng(43)
+    x = rng.integers(0, 60, size=400).astype(float)  # every value repeated
+    x[::17] += rng.uniform(size=len(x[::17]))
+    got = nearest_neighbors(x[:, None]).nu
+    assert np.array_equal(got, nn_bruteforce(x[:, None]))
+
+
+def test_precomputed_neighbor_map_gives_identical_scores():
+    rng = np.random.default_rng(47)
+    for d in (1, 3):
+        X = rng.uniform(size=(300, d))
+        y = np.cos(3 * X[:, 0]) + 0.2 * rng.normal(size=300)
+        nn = neighbor_map(X)
+        assert codec(X, y, nn=nn).value == codec(X, y).value
+        assert codec(X, y, form="rewritten", nn=nn).value == codec(X, y, form="rewritten").value
+        assert kmac(X, y, nn=nn).value == kmac(X, y).value
+    with pytest.raises(ValueError):
+        codec(X[:-1], y[:-1], nn=nn)
 
 
 def test_codec_functional_vs_independent():

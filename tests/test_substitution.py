@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srsub import (
     Dataset,
@@ -17,9 +19,11 @@ from srsub import (
 from srsub.bench import Problem
 from srsub.errors import TooFewRows, Unverifiable
 from srsub.substitution import (
+    _quartiles_and_range,
     aifeynman_candidates,
     apply_input,
     apply_outinput,
+    degenerate_column,
     gen_input_candidates,
     gen_outinput_candidates,
 )
@@ -196,3 +200,60 @@ def test_verify_outinput_three_variable_example():
     f = parse("x1*x2*x3+x1*(x2+log(x2))/x3")
     h = OutInputSub(h=parse("x2/x1", arity=2), I=(0,))  # y / x1
     assert verify_outinput_sub(f, h) is True
+
+
+# -- degenerate columns -----------------------------------------------------------
+
+
+def _degenerate_by_quantile(x):
+    """The decision written with np.quantile, as the reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q25, q75 = np.quantile(x, [0.25, 0.75])
+        lo, hi = float(np.min(x)), float(np.max(x))
+        if hi == lo:
+            return True
+        return (q75 - q25) <= 1e-12 * (hi - lo)
+
+
+def _degenerate_column_cases():
+    rng = np.random.default_rng(53)
+    bulk = rng.normal(size=800)
+    outliers = bulk.copy()
+    outliers[::100] = 1e300
+    one_sided = np.full(800, 1.0)
+    one_sided[:150] = rng.uniform(size=150) * 1e-3
+    return {
+        "constant": np.full(800, 2.5),
+        "constant_one_row": np.array([7.0]),
+        "two_values": rng.integers(0, 2, size=800).astype(float),
+        "many_ties": np.round(bulk, 1),
+        "tied_bulk_spread_tail": one_sided,
+        "extreme_outliers": outliers,
+        "collapsed_bulk": np.concatenate([np.full(700, 1.0), rng.normal(size=100) * 1e15]),
+        "bulk_below_resolution": 1.0 + rng.normal(size=800) * 1e-17 + (np.arange(800) == 0) * 1e6,
+        "smooth": bulk,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_column_cases()))
+def test_degenerate_column_matches_quantile_decision(name):
+    x = _degenerate_column_cases()[name]
+    assert degenerate_column(x) == _degenerate_by_quantile(x)
+
+
+def test_degenerate_column_cases_cover_both_decisions():
+    decisions = {degenerate_column(x) for x in _degenerate_column_cases().values()}
+    assert decisions == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0, -1e308, 1e308])),
+                min_size=1, max_size=60))
+def test_quartiles_equal_numpy_quantile_bitwise(values):
+    x = np.array(values)
+    q25, q75, lo, hi = _quartiles_and_range(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = np.quantile(x, [0.25, 0.75])
+    assert np.array_equal([q25, q75], ref, equal_nan=True)
+    assert (lo, hi) == (float(np.min(x)), float(np.max(x)))
+    assert degenerate_column(x) == _degenerate_by_quantile(x)
