@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
-from .dag import ExprDag, compose, rename_vars, solve_for
+from .dag import DagBuilder, ExprDag, compose, solve_for
 from .depmeasure import (
     DependenceScore,
     NeighborMap,
@@ -276,4 +276,5 @@ def reconstruct(path: list[SearchNode], solution: "ExprDag") -> "ExprDag":
     used = solved.var_indices()
     if used and max(used) >= d0:
         raise ValueError("reconstruction left the original output symbol unresolved")
-    return rename_vars(solved, {}, d0)
+    b = DagBuilder()  # drop the output slot from the declared arity
+    return b.extract(b.copy_from(solved), d0)

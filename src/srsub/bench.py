@@ -24,7 +24,7 @@ import sympy as sp
 from . import symbolic
 from .beamsearch import BeamConfig, SearchNode, SearchResult, search, trace_records
 from .dag import ExprDag, evaluate
-from .errors import DegenerateY, Unsampleable, Unverifiable
+from .errors import Unsampleable, Unverifiable
 from .exprtext import parse
 from .regress import RegressorSpec, holdout_mask, solve_pipeline
 from .simplify import subexpressions
@@ -83,9 +83,10 @@ class Report:
 
     def to_csv(self, path: str | Path) -> None:
         ok_rows = [r for r in self.rows if r.get("status") == "ok"]
-        fields = list(self.rows[0].keys()) if self.rows else []
+        # a failed row lacks the metric columns, so take every row's keys
+        fields = list(dict.fromkeys(key for row in self.rows for key in row))
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=fields, restval="")
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row)
@@ -229,16 +230,8 @@ def reduction_rate(result: SearchResult, p: Problem) -> tuple[float, bool]:
     Only nodes whose entire edge chain verifies enter the minimum;
     `all_valid` reports whether the best-scoring path verified end to end.
     """
-    verdict = _chain_verify(result, p)
-    d0 = result.root.dataset.d
-    best_vars = d0
-    for level in result.all_levels:
-        for node in level:
-            if verdict[id(node)]:
-                best_vars = min(best_vars, node.n_vars)
-    rate = 1.0 - best_vars / d0
-    all_valid = verdict.get(id(result.best), False)
-    return rate, all_valid
+    stats = chain_stats(result, p)
+    return stats["reduction_rate"], stats["best_path_valid"]
 
 
 def chain_stats(result: SearchResult, p: Problem) -> dict:
@@ -302,19 +295,6 @@ _AGGREGATE_FIELDS = (
 )
 
 
-def _root_only_result(ds: Dataset, cfg: BeamConfig) -> SearchResult:
-    from .beamsearch import _score_dataset
-
-    try:
-        score = _score_dataset(ds, cfg.measure)
-    except DegenerateY:
-        from .depmeasure import DependenceScore
-
-        score = DependenceScore(float("-inf"), cfg.measure)
-    node = SearchNode(dataset=ds, score=score)
-    return SearchResult(best_path=[node], all_levels=[])
-
-
 def _arm_metrics(result: SearchResult, spec: RegressorSpec, p: Problem,
                  holdout: tuple[np.ndarray, np.ndarray]) -> dict:
     sol = solve_pipeline(result, spec, holdout=holdout)
@@ -348,7 +328,8 @@ def run_problem(p: Problem, cfg: BeamConfig, spec: RegressorSpec,
         traces = [dict(rec, id=p.id) for rec in trace_records(result)]
 
         if fit_models:
-            base = _arm_metrics(_root_only_result(train, cfg), spec, p, holdout)
+            root_only = SearchResult(best_path=[result.root], all_levels=[])
+            base = _arm_metrics(root_only, spec, p, holdout)
             beam = _arm_metrics(result, spec, p, holdout)
             for tag, metrics in (("base", base), ("beam", beam)):
                 row[f"{tag}_recovered"] = metrics["recovered"]

@@ -9,16 +9,78 @@ compare equal.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
+import sympy as sp
 
 from .errors import NotSolvable
 
-UNARY_OPS = ("sqrt", "log", "exp", "sin", "cos", "neg", "inv", "square")
-BINARY_OPS = ("+", "-", "*", "/")
-COMMUTATIVE_OPS = ("+", "*")
+
+@dataclass(frozen=True)
+class Op:
+    """Everything the layers need to know about one operator.
+
+    `numpy` evaluates it elementwise with its domain guards, `sympy` builds
+    the computer-algebra form, `fold` evaluates a unary op on one float
+    (None for binary ops), and `inverse` names the op that undoes it (None
+    when the op is not invertible).  `text` is the printed form with
+    ``{0}``/``{1}`` for the operands and `prec` its binding strength.
+    """
+
+    arity: int
+    numpy: Callable
+    sympy: Callable
+    text: str
+    prec: int
+    fold: Callable[[float], float] | None = None
+    inverse: str | None = None
+    commutative: bool = False
+
+
+def _function(name: str, numpy: Callable, sympy: Callable, fold: Callable,
+              inverse: str | None) -> Op:
+    return Op(1, numpy, sympy, f"{name}({{0}})", 9, fold, inverse)
+
+
+def _guarded_log(c):
+    return np.log(np.where(c > 0, c, np.nan))
+
+
+def _guarded_inv(c):
+    return np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.inf)
+
+
+def _guarded_div(l, r):
+    return np.where(r != 0, l / np.where(r != 0, r, 1.0), np.nan)
+
+
+def _square(c):
+    return c * c
+
+
+# Order matters: enumeration walks the binary ops, then the unary ops, in
+# this order, which fixes candidate discovery order and skeleton positions.
+OPS: dict[str, Op] = {
+    "+": Op(2, operator.add, operator.add, "{0}+{1}", 1, inverse="-", commutative=True),
+    "-": Op(2, operator.sub, operator.sub, "{0}-{1}", 1, inverse="+"),
+    "*": Op(2, operator.mul, operator.mul, "{0}*{1}", 2, inverse="/", commutative=True),
+    "/": Op(2, _guarded_div, operator.truediv, "{0}/{1}", 2, inverse="*"),
+    "sqrt": _function("sqrt", np.sqrt, sp.sqrt, math.sqrt, "square"),
+    "log": _function("log", _guarded_log, sp.log, math.log, "exp"),
+    "exp": _function("exp", np.exp, sp.exp, math.exp, "log"),
+    "sin": _function("sin", np.sin, sp.sin, math.sin, None),
+    "cos": _function("cos", np.cos, sp.cos, math.cos, None),
+    "neg": Op(1, operator.neg, operator.neg, "-({0})", 0, operator.neg, "neg"),
+    "inv": Op(1, _guarded_inv, lambda c: 1 / c, "1/({0})", 2, lambda v: 1.0 / v, "inv"),
+    # printed as an explicit product to stay within + - * /
+    "square": Op(1, _square, lambda c: c ** 2, "(({0})*({0}))", 9, _square, "sqrt"),
+}
+UNARY_OPS = tuple(name for name, op in OPS.items() if op.arity == 1)
+BINARY_OPS = tuple(name for name, op in OPS.items() if op.arity == 2)
 
 
 @dataclass(frozen=True)
@@ -114,7 +176,7 @@ class DagBuilder:
     def binary(self, op: str, left: int, right: int) -> int:
         if op not in BINARY_OPS:
             raise ValueError(f"unknown binary op {op!r}")
-        if op in COMMUTATIVE_OPS and self._order[right] < self._order[left]:
+        if OPS[op].commutative and self._order[right] < self._order[left]:
             left, right = right, left
         if op == "*" and left == right:
             return self.unary("square", left)
@@ -125,25 +187,32 @@ class DagBuilder:
         key = f"({op} {self._keys[left]} {self._keys[right]})"
         return self._intern(Binary(op, left, right), key, 3)
 
-    def copy_from(self, dag: "ExprDag", var_map: Sequence[int] | None = None) -> int:
-        """Insert `dag` into this builder; optionally remap Var nodes to
-        existing node ids of this builder. Returns the new root id."""
-        memo: dict[int, int] = {}
-        for nid, node in enumerate(dag.nodes):
+    def copy_from(self, dag: "ExprDag", var: Callable[[int], int] | None = None,
+                  param: Callable[[str], int] | None = None,
+                  unary: Callable[[str, int], int] | None = None,
+                  binary: Callable[[str, int, int], int] | None = None) -> int:
+        """Rebuild `dag` in this builder node by node, children first, and
+        return the new root id.
+
+        Each callback builds one kind of node from the ids of its rebuilt
+        children and defaults to this builder's own method: `var(index)`,
+        `param(name)`, `unary(op, child)` and `binary(op, left, right)`.
+        """
+        var = var or self.var
+        param = param or self.param
+        unary = unary or self.unary
+        binary = binary or self.binary
+        memo: list[int] = []
+        for node in dag.nodes:
             if isinstance(node, Var):
-                if var_map is not None:
-                    memo[nid] = var_map[node.index]
-                else:
-                    memo[nid] = self.var(node.index)
+                memo.append(var(node.index))
             elif isinstance(node, Const):
-                if node.is_placeholder:
-                    memo[nid] = self.param(node.name or "c")
-                else:
-                    memo[nid] = self.const(node.value)
+                memo.append(param(node.name or "c") if node.is_placeholder
+                            else self.const(node.value))
             elif isinstance(node, Unary):
-                memo[nid] = self.unary(node.op, memo[node.child])
+                memo.append(unary(node.op, memo[node.child]))
             else:
-                memo[nid] = self.binary(node.op, memo[node.left], memo[node.right])
+                memo.append(binary(node.op, memo[node.left], memo[node.right]))
         return memo[dag.root]
 
     def extract(self, root: int, arity: int) -> "ExprDag":
@@ -271,10 +340,6 @@ def _per_occurrence(nodes: tuple[Node, ...], leaf_fn) -> list[int]:
 # -- construction helpers ---------------------------------------------------
 
 
-def from_builder(builder: DagBuilder, root: int, arity: int) -> ExprDag:
-    return builder.extract(root, arity)
-
-
 def variable(index: int, arity: int | None = None) -> ExprDag:
     b = DagBuilder()
     return b.extract(b.var(index), arity if arity is not None else index + 1)
@@ -293,43 +358,17 @@ def compose(dag: ExprDag, replacements: Sequence[ExprDag], arity: int) -> ExprDa
             raise ValueError("not enough replacement expressions")
     b = DagBuilder()
     roots = [b.copy_from(r) for r in replacements]
-    out = b.copy_from(dag, var_map=roots)
+    out = b.copy_from(dag, var=roots.__getitem__)
     return b.extract(out, arity)
-
-
-def rename_vars(dag: ExprDag, mapping: dict[int, int], arity: int) -> ExprDag:
-    b = DagBuilder()
-    memo: dict[int, int] = {}
-    for nid, node in enumerate(dag.nodes):
-        if isinstance(node, Var):
-            memo[nid] = b.var(mapping.get(node.index, node.index))
-        elif isinstance(node, Const):
-            memo[nid] = b.param(node.name or "c") if node.is_placeholder else b.const(node.value)
-        elif isinstance(node, Unary):
-            memo[nid] = b.unary(node.op, memo[node.child])
-        else:
-            memo[nid] = b.binary(node.op, memo[node.left], memo[node.right])
-    return b.extract(memo[dag.root], arity)
 
 
 def bind_placeholders(dag: ExprDag, values: dict[str, float]) -> ExprDag:
     b = DagBuilder()
-    memo: dict[int, int] = {}
-    for nid, node in enumerate(dag.nodes):
-        if isinstance(node, Var):
-            memo[nid] = b.var(node.index)
-        elif isinstance(node, Const):
-            if node.is_placeholder and node.name in values:
-                memo[nid] = b.const(values[node.name])
-            elif node.is_placeholder:
-                memo[nid] = b.param(node.name or "c")
-            else:
-                memo[nid] = b.const(node.value)
-        elif isinstance(node, Unary):
-            memo[nid] = b.unary(node.op, memo[node.child])
-        else:
-            memo[nid] = b.binary(node.op, memo[node.left], memo[node.right])
-    return b.extract(memo[dag.root], dag.arity)
+
+    def param(name: str) -> int:
+        return b.const(values[name]) if name in values else b.param(name)
+
+    return b.extract(b.copy_from(dag, param=param), dag.arity)
 
 
 # -- numeric evaluation -----------------------------------------------------
@@ -363,47 +402,16 @@ def evaluate(dag: ExprDag, X: np.ndarray, params: dict[str, float] | None = None
                     v = node.value
                 vals.append(np.full(n, v))
             elif isinstance(node, Unary):
-                c = vals[node.child]
-                if node.op == "sqrt":
-                    vals.append(np.sqrt(c))
-                elif node.op == "log":
-                    out = np.log(np.where(c > 0, c, np.nan))
-                    vals.append(out)
-                elif node.op == "exp":
-                    vals.append(np.exp(c))
-                elif node.op == "sin":
-                    vals.append(np.sin(c))
-                elif node.op == "cos":
-                    vals.append(np.cos(c))
-                elif node.op == "neg":
-                    vals.append(-c)
-                elif node.op == "inv":
-                    vals.append(np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.inf))
-                else:  # square
-                    vals.append(c * c)
+                vals.append(OPS[node.op].numpy(vals[node.child]))
             else:
-                l, r = vals[node.left], vals[node.right]
-                if node.op == "+":
-                    vals.append(l + r)
-                elif node.op == "-":
-                    vals.append(l - r)
-                elif node.op == "*":
-                    vals.append(l * r)
-                else:
-                    vals.append(np.where(r != 0, l / np.where(r != 0, r, 1.0), np.nan))
+                vals.append(OPS[node.op].numpy(vals[node.left], vals[node.right]))
     out = np.array(vals[dag.root], dtype=float, copy=True)
     out[~np.isfinite(out)] = np.nan
     out[np.abs(out) > _OVERFLOW_GUARD] = np.nan
     return out
 
 
-def evaluate_at(dag: ExprDag, row: Sequence[float], params: dict[str, float] | None = None) -> float:
-    return float(evaluate(dag, np.asarray(row, dtype=float)[None, :], params)[0])
-
-
 # -- equation solving by path inversion -------------------------------------
-
-_INVERTIBLE_UNARY = {"sqrt", "log", "exp", "neg", "inv", "square"}
 
 
 def invertible_path(dag: ExprDag, target: int) -> bool:
@@ -422,9 +430,9 @@ def invertible_path(dag: ExprDag, target: int) -> bool:
             return node.index == target
         if isinstance(node, Const):
             return False
+        if OPS[node.op].inverse is None:
+            return False
         if isinstance(node, Unary):
-            if node.op not in _INVERTIBLE_UNARY:
-                return False
             nid = node.child
         else:
             nid = node.left if contains[node.left] else node.right
@@ -466,37 +474,25 @@ def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
         node = b.nodes[side]
         if isinstance(node, Var) and node.index == target:
             break
+        if not isinstance(node, (Unary, Binary)):
+            raise NotSolvable("path ended before reaching the target variable")
+        op = OPS[node.op]
+        if op.inverse is None:
+            raise NotSolvable(f"operator {node.op!r} on the path is not invertible")
         if isinstance(node, Unary):
-            if node.op not in _INVERTIBLE_UNARY:
-                raise NotSolvable(f"operator {node.op!r} on the path is not invertible")
-            if node.op == "sqrt":
+            if node.op == "sqrt":  # sqrt only reaches values >= 0
                 constraints.append(acc)
-                acc = b.unary("square", acc)
-            elif node.op == "log":
-                acc = b.unary("exp", acc)
-            elif node.op == "exp":
-                acc = b.unary("log", acc)
-            elif node.op == "neg":
-                acc = b.unary("neg", acc)
-            elif node.op == "inv":
-                acc = b.unary("inv", acc)
-            else:  # square: non-negative branch
-                acc = b.unary("sqrt", acc)
+            # square is inverted on its non-negative branch
+            acc = b.unary(op.inverse, acc)
             side = node.child
-        elif isinstance(node, Binary):
+        else:
             in_left = contains(node.left)
             other = node.right if in_left else node.left
-            if node.op == "+":
-                acc = b.binary("-", acc, other)
-            elif node.op == "-":
-                acc = b.binary("+", acc, other) if in_left else b.binary("-", other, acc)
-            elif node.op == "*":
-                acc = b.binary("/", acc, other)
+            if in_left or op.commutative:
+                acc = b.binary(op.inverse, acc, other)
             else:
-                acc = b.binary("*", acc, other) if in_left else b.binary("/", other, acc)
+                acc = b.binary(node.op, other, acc)
             side = node.left if in_left else node.right
-        else:
-            raise NotSolvable("path ended before reaching the target variable")
 
     solution = b.extract(acc, arity)
     if check:

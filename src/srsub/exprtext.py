@@ -3,17 +3,19 @@
 Variables are written ``x1..xd``, the functions ``sqrt, log, exp, sin, cos``
 are supported together with ``+ - * /`` and parentheses.  Integer powers via
 ``^``/``**`` and placeholder constants ``c0, c1, ...`` are accepted on input
-for robustness; printing stays within the core operator set.
+for robustness; a power binds tighter than unary minus, so ``-x1^2`` is
+``-(x1^2)``.  Printing stays within the core operator set.
 """
 
 from __future__ import annotations
 
 import re
 
-from .dag import Const, DagBuilder, ExprDag, Unary, Var
+from .dag import OPS, Const, DagBuilder, ExprDag, Unary, Var, _const_repr
 from .errors import UnsupportedExpression
 
-_FUNCTIONS = ("sqrt", "log", "exp", "sin", "cos")
+# the ops printed in call form, ``name(arg)``
+_FUNCTIONS = tuple(name for name, op in OPS.items() if op.text == f"{name}({{0}})")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -72,14 +74,28 @@ class _Parser:
         return node
 
     def term(self) -> int:
-        node = self.power()
+        node = self.signed()
         while self.peek() in ("*", "/"):
             op = self.take()
-            node = self.b.binary(op, node, self.power())
+            node = self.b.binary(op, node, self.signed())
         return node
 
+    def signed(self) -> int:
+        # unary minus applies to a whole power: -x^2 is -(x^2)
+        if self.peek() == "-":
+            self.take()
+            inner = self.signed()
+            node = self.b.nodes[inner]
+            if isinstance(node, Const) and not node.is_placeholder:
+                return self.b.const(-node.value)
+            return self.b.unary("neg", inner)
+        if self.peek() == "+":
+            self.take()
+            return self.signed()
+        return self.power()
+
     def power(self) -> int:
-        base = self.factor()
+        base = self.atom()
         if self.peek() in ("^", "**"):
             self.take()
             neg = False
@@ -106,16 +122,8 @@ class _Parser:
         sq = self.b.unary("square", half)
         return sq if exp % 2 == 0 else self.b.binary("*", base, sq)
 
-    def factor(self) -> int:
+    def atom(self) -> int:
         tok = self.take()
-        if tok == "-":
-            inner = self.factor()
-            node = self.b.nodes[inner]
-            if isinstance(node, Const) and not node.is_placeholder:
-                return self.b.const(-node.value)
-            return self.b.unary("neg", inner)
-        if tok == "+":
-            return self.factor()
         if tok == "(":
             node = self.expr()
             self.expect(")")
@@ -161,9 +169,6 @@ def parse(text: str, arity: int | None = None,
     return builder.extract(root, arity)
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
 def to_text(dag: ExprDag, var_names: dict[int, str] | None = None) -> str:
     """Render a dag as infix text; parse(to_text(e)) is structurally e."""
     names = var_names or {}
@@ -178,34 +183,21 @@ def to_text(dag: ExprDag, var_names: dict[int, str] | None = None) -> str:
                 return node.name or "c0", 9
             v = node.value
             if v < 0:
-                return f"-{_fmt(-v)}", 0
-            return _fmt(v), 9
+                return f"-{_const_repr(-v)}", 0
+            return _const_repr(v), 9
+        op = OPS[node.op]
         if isinstance(node, Unary):
             inner, _ = render(node.child)
-            if node.op in _FUNCTIONS:
-                return f"{node.op}({inner})", 9
-            if node.op == "neg":
-                return f"-({inner})", 0
-            if node.op == "inv":
-                return f"1/({inner})", 2
-            # square: stay within + - * / by rendering explicit multiplication
-            return f"(({inner})*({inner}))", 9
+            return op.text.format(inner), op.prec
         text_l, prec_l = render(node.left)
         text_r, prec_r = render(node.right)
-        prec = _PREC[node.op]
-        if prec_l < prec:
+        if prec_l < op.prec:
             text_l = f"({text_l})"
         # parenthesize an equal-precedence right child so the left-associative
         # parser rebuilds the same tree
-        if prec_r <= prec:
+        if prec_r <= op.prec:
             text_r = f"({text_r})"
-        return f"{text_l}{node.op}{text_r}", prec
+        return op.text.format(text_l, text_r), op.prec
 
     text, _ = render(dag.root)
     return text
-
-
-def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)

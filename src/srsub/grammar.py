@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .dag import BINARY_OPS, UNARY_OPS, Const, DagBuilder, ExprDag, Unary, Var, Binary
+from .dag import BINARY_OPS, OPS, UNARY_OPS, Binary, Const, DagBuilder, ExprDag, Unary
 
 DEFAULT_OPS = frozenset({"+", "-", "*", "/", "sqrt", "log", "exp", "sin", "cos"})
 
@@ -28,7 +28,7 @@ class GrammarBudget:
     def __post_init__(self) -> None:
         if self.max_intermediary_nodes < 0:
             raise ValueError("max_intermediary_nodes must be >= 0")
-        unknown = set(self.allowed_ops) - set(UNARY_OPS) - set(BINARY_OPS)
+        unknown = set(self.allowed_ops) - set(OPS)
         if unknown:
             raise ValueError(f"unknown operators: {sorted(unknown)}")
 
@@ -150,14 +150,5 @@ def _renumber_placeholders(dag: ExprDag) -> ExprDag:
     if all(k == v for k, v in mapping.items()):
         return dag
     b = DagBuilder()
-    memo: dict[int, int] = {}
-    for nid, node in enumerate(dag.nodes):
-        if isinstance(node, Var):
-            memo[nid] = b.var(node.index)
-        elif isinstance(node, Const):
-            memo[nid] = b.param(mapping[node.name]) if node.is_placeholder else b.const(node.value)
-        elif isinstance(node, Unary):
-            memo[nid] = b.unary(node.op, memo[node.child])
-        else:
-            memo[nid] = b.binary(node.op, memo[node.left], memo[node.right])
-    return b.extract(memo[dag.root], dag.arity)
+    root = b.copy_from(dag, param=lambda name: b.param(mapping[name]))
+    return b.extract(root, dag.arity)

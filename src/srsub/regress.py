@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .beamsearch import SearchNode, SearchResult, reconstruct
+from .beamsearch import SearchResult, reconstruct
 from .dag import DagBuilder, ExprDag, bind_placeholders, evaluate
 from .errors import DegenerateY, ExternalFailure, IllConditionedWarning, NotSolvable
 from .exprtext import parse
@@ -304,7 +304,7 @@ def fit(ds: Dataset, spec: RegressorSpec) -> ExprDag:
 
 
 def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
-    """Deterministic boolean test mask with ceil(fraction * n) rows."""
+    """Deterministic boolean test mask with max(1, round(fraction * n)) rows."""
     if not 0 < fraction < 1:
         raise ValueError("holdout fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -335,7 +335,7 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec,
         test_rows = None
 
     best: SolveResult | None = None
-    for node in result.best_path:
+    for i, node in enumerate(result.best_path):
         ds = node.dataset
         if test_rows is not None:
             train = np.array([r not in test_rows for r in ds.origin_rows])
@@ -344,7 +344,7 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec,
             ds = ds.restrict_rows(train)
         try:
             sol = fit(ds, spec)
-            expr = reconstruct(_path_to(node, result), sol)
+            expr = reconstruct(result.best_path[:i + 1], sol)
             pred = evaluate(expr, X_test)
             err = nrmse(y_test, pred)
         except (NotSolvable, DegenerateY, ExternalFailure, ValueError):
@@ -356,13 +356,3 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec,
     if best is None:
         raise ExternalFailure("no node of the path produced a usable model")
     return best
-
-
-def _path_to(node: SearchNode, result: SearchResult) -> list[SearchNode]:
-    path = []
-    cur: SearchNode | None = node
-    while cur is not None:
-        path.append(cur)
-        cur = cur.parent
-    path.reverse()
-    return path

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from .dag import (
+    OPS,
     Binary,
     Const,
     DagBuilder,
@@ -20,17 +21,6 @@ from .dag import (
     Unary,
     Var,
 )
-
-_UNARY_FOLD = {
-    "sqrt": math.sqrt,
-    "log": math.log,
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "neg": lambda v: -v,
-    "inv": lambda v: 1.0 / v,
-    "square": lambda v: v * v,
-}
 
 _INVERSE_PAIRS = {("exp", "log"), ("log", "exp"), ("neg", "neg"),
                   ("inv", "inv"), ("square", "sqrt")}
@@ -49,36 +39,23 @@ def simplify(dag: ExprDag) -> ExprDag:
 
 def _simplify_once(dag: ExprDag) -> ExprDag:
     b = DagBuilder()
-    memo: dict[int, int] = {}
 
-    def rec(nid: int) -> int:
-        if nid in memo:
-            return memo[nid]
-        node = dag.nodes[nid]
-        if isinstance(node, Var):
-            out = b.var(node.index)
-        elif isinstance(node, Const):
-            out = b.param(node.name or "c") if node.is_placeholder else b.const(node.value)
-        elif isinstance(node, Unary):
-            out = _unary(b, node.op, rec(node.child))
-        else:
-            left, right = rec(node.left), rec(node.right)
-            if node.op in ("+", "-"):
-                out = _rebuild_add(b, _collect_add(b, node.op, left, right))
-            else:
-                out = _rebuild_mul(b, _collect_mul(b, node.op, left, right))
-        memo[nid] = out
-        return out
+    def unary(op: str, child: int) -> int:
+        return _unary(b, op, child)
 
-    root = rec(dag.root)
-    return b.extract(root, dag.arity)
+    def binary(op: str, left: int, right: int) -> int:
+        if op in ("+", "-"):
+            return _rebuild_add(b, _collect_add(b, op, left, right))
+        return _rebuild_mul(b, _collect_mul(b, op, left, right))
+
+    return b.extract(b.copy_from(dag, unary=unary, binary=binary), dag.arity)
 
 
 def _unary(b: DagBuilder, op: str, child: int) -> int:
     node = b.nodes[child]
     if isinstance(node, Const) and not node.is_placeholder:
         try:
-            value = _UNARY_FOLD[op](node.value)
+            value = OPS[op].fold(node.value)
         except (ValueError, ZeroDivisionError, OverflowError):
             value = None
         if value is not None and math.isfinite(value):

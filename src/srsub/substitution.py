@@ -35,15 +35,12 @@ class InputSub:
 
     g: ExprDag
     I: tuple[int, ...]
-    k: int = 1
 
     def __post_init__(self) -> None:
         if len(self.I) < 2:
             raise ValueError("input substitutions need |I| > 1")
         if self.g.arity != len(self.I):
             raise ValueError("g arity must equal |I|")
-        if self.k != 1:
-            raise ValueError("only scalar substitutions (k = 1) are supported")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import sympy as sp
 
-from .dag import Const, ExprDag, Unary, Var, evaluate
+from .dag import OPS, Const, DagBuilder, ExprDag, Unary, Var, evaluate
 from .errors import Inconclusive
 from .simplify import simplify
 
@@ -28,14 +28,14 @@ _real_syms: list[sp.Symbol] = []
 _pos_syms: list[sp.Symbol] = []
 
 
+def _symbol(name: str, positive: bool) -> sp.Symbol:
+    return sp.Symbol(name, positive=True) if positive else sp.Symbol(name, real=True)
+
+
 def _sym(i: int, positive: bool = False) -> sp.Symbol:
     cache = _pos_syms if positive else _real_syms
     while len(cache) <= i:
-        j = len(cache)
-        if positive:
-            cache.append(sp.Symbol(f"x{j + 1}", positive=True))
-        else:
-            cache.append(sp.Symbol(f"x{j + 1}", real=True))
+        cache.append(_symbol(f"x{len(cache) + 1}", positive))
     return cache[i]
 
 
@@ -60,43 +60,21 @@ def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
             else:
                 vals.append(sp.Float(node.value))
         elif isinstance(node, Unary):
-            c = vals[node.child]
-            if node.op == "sqrt":
-                vals.append(sp.sqrt(c))
-            elif node.op == "log":
-                vals.append(sp.log(c))
-            elif node.op == "exp":
-                vals.append(sp.exp(c))
-            elif node.op == "sin":
-                vals.append(sp.sin(c))
-            elif node.op == "cos":
-                vals.append(sp.cos(c))
-            elif node.op == "neg":
-                vals.append(-c)
-            elif node.op == "inv":
-                vals.append(1 / c)
-            else:
-                vals.append(c ** 2)
+            vals.append(OPS[node.op].sympy(vals[node.child]))
         else:
-            l, r = vals[node.left], vals[node.right]
-            if node.op == "+":
-                vals.append(l + r)
-            elif node.op == "-":
-                vals.append(l - r)
-            elif node.op == "*":
-                vals.append(l * r)
-            else:
-                vals.append(l / r)
+            vals.append(OPS[node.op].sympy(vals[node.left], vals[node.right]))
     return vals[dag.root]
 
 
-def _to_positive(expr: sp.Expr) -> sp.Expr:
+def _with_assumption(expr: sp.Expr, positive: bool) -> sp.Expr:
+    """`expr` with every symbol swapped for its positive (or else real)
+    namesake; ``x<i>`` symbols come from the shared cache."""
     mapping = {}
     for s in expr.free_symbols:
         if s.name.startswith("x") and s.name[1:].isdigit():
-            mapping[s] = _sym(int(s.name[1:]) - 1, positive=True)
+            mapping[s] = _sym(int(s.name[1:]) - 1, positive)
         else:
-            mapping[s] = sp.Symbol(s.name, positive=True)
+            mapping[s] = _symbol(s.name, positive)
     return expr.xreplace(mapping)
 
 
@@ -107,7 +85,7 @@ def _escalate(expr: sp.Expr) -> Iterable[sp.Expr]:
         yield sp.cancel(expr)
     except Exception:
         pass
-    pos = _to_positive(expr)
+    pos = _with_assumption(expr, positive=True)
     yield pos
     try:
         yield sp.powsimp(pos)
@@ -120,16 +98,6 @@ def _escalate(expr: sp.Expr) -> Iterable[sp.Expr]:
             pass
 
 
-def _to_real_symbols(expr: sp.Expr) -> sp.Expr:
-    mapping = {}
-    for s in expr.free_symbols:
-        if s.name.startswith("x") and s.name[1:].isdigit():
-            mapping[s] = _sym(int(s.name[1:]) - 1)
-        else:
-            mapping[s] = sp.Symbol(s.name, real=True)
-    return expr.xreplace(mapping)
-
-
 def eliminated_form(expr: sp.Expr, targets: Sequence[sp.Symbol]) -> sp.Expr | None:
     """The first rewrite of `expr` with every target symbol gone (symbols
     normalized back to their real-assumption variants), or None when no
@@ -137,7 +105,7 @@ def eliminated_form(expr: sp.Expr, targets: Sequence[sp.Symbol]) -> sp.Expr | No
     names = {t.name for t in targets}
     for form in _escalate(expr):
         if not names & {s.name for s in form.free_symbols}:
-            return _to_real_symbols(form)
+            return _with_assumption(form, positive=False)
     return None
 
 
@@ -302,8 +270,6 @@ def equivalent(f: ExprDag, g: ExprDag,
     if f.arity != g.arity:
         raise ValueError("expressions must have the same arity")
     rng = rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
-    from .dag import DagBuilder
-
     b = DagBuilder()
     fr, gr = b.copy_from(f), b.copy_from(g)
     diff = b.extract(b.binary("-", fr, gr), f.arity)

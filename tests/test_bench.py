@@ -215,8 +215,27 @@ def test_report_csv_roundtrip(tmp_path):
     out = tmp_path / "report.csv"
     rep.to_csv(out)
     text = out.read_text().splitlines()
-    assert text[0].startswith("id,")
+    assert text[0] == ",".join(rep.rows[0])  # every row ok: the first row's columns
     assert any(line.startswith("AGGREGATE_MEAN") for line in text)
+
+
+def test_report_csv_with_failed_first_row(tmp_path):
+    import csv
+
+    path = tmp_path / "bad_first.tsv"
+    path.write_text("bad1\t1\tlog(x1-200)\nok1\t2\tx1+x2\n")
+    rep = run_benchmark(load_corpus(path), BeamConfig(), RegressorSpec(kind="poly"),
+                        NoiseLevel(0.0), seed=19, n_samples=100, workers=1)
+    assert [r["status"] for r in rep.rows] == ["Unsampleable", "ok"]
+    out = tmp_path / "report.csv"
+    rep.to_csv(out)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["id"] for r in rows] == ["bad1", "ok1", "AGGREGATE_MEAN"]
+    # the failed row's missing metrics are blank, the ok row's are filled in
+    assert rows[0]["status"] == "Unsampleable" and rows[0]["beam_nrmse"] == ""
+    assert float(rows[1]["beam_nrmse"]) == rep.rows[1]["beam_nrmse"]
+    assert float(rows[2]["reduction_rate"]) == rep.aggregates["reduction_rate"]
 
 
 def test_bundled_corpora_load():

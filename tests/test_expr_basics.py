@@ -90,6 +90,14 @@ def test_parse_rejects_garbage():
 def test_parse_power_notation():
     assert parse("x1^2") == parse("x1*x1")
     assert parse("x1**3") == parse("x1*(x1*x1)")
+    # a power binds tighter than unary minus
+    assert parse("-x1^2") == parse("-(x1*x1)")
+    assert parse("-x1**2") == parse("-(x1*x1)")
+    gauss = evaluate(parse("exp(-x1^2/2)"), np.array([[3.0]]))[0]
+    assert gauss == pytest.approx(np.exp(-4.5), rel=1e-12)
+    # negative exponents are unchanged
+    assert parse("x1^-2") == parse("1/(x1*x1)")
+    assert parse("2^-1*x1") == parse("1/2*x1")
 
 
 # -- solving -------------------------------------------------------------------
