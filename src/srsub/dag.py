@@ -51,11 +51,13 @@ def _guarded_log(c):
 
 
 def _guarded_inv(c):
-    return np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.inf)
+    nonzero = c != 0
+    return np.where(nonzero, 1.0 / np.where(nonzero, c, 1.0), np.inf)
 
 
 def _guarded_div(l, r):
-    return np.where(r != 0, l / np.where(r != 0, r, 1.0), np.nan)
+    nonzero = r != 0
+    return np.where(nonzero, l / np.where(nonzero, r, 1.0), np.nan)
 
 
 def _square(c):
@@ -116,7 +118,8 @@ Node = Union[Var, Const, Unary, Binary]
 
 
 def _const_repr(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    # the magnitude test comes first: int() raises on inf and nan
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -388,27 +391,37 @@ def evaluate(dag: ExprDag, X: np.ndarray, params: dict[str, float] | None = None
     if X.shape[1] < dag.arity:
         raise ValueError(f"dag arity {dag.arity} exceeds data dimension {X.shape[1]}")
     n = X.shape[0]
-    vals: list[np.ndarray] = []
+    # Constant nodes stay scalars and broadcast in binary ops.  A unary op
+    # on a constant, a binary op on two constants and a constant root get
+    # the constant as an n-array, so every op computes on the same elements
+    # as it would with a full constant column.
+    nodes = dag.nodes
+    vals: list = []
     with np.errstate(all="ignore"):
-        for node in dag.nodes:
+        for node in nodes:
             if isinstance(node, Var):
                 vals.append(X[:, node.index])
             elif isinstance(node, Const):
                 if node.is_placeholder:
                     if params is None or node.name not in params:
                         raise ValueError(f"unbound placeholder {node.name!r}")
-                    v = params[node.name]
+                    vals.append(params[node.name])
                 else:
-                    v = node.value
-                vals.append(np.full(n, v))
+                    vals.append(node.value)
             elif isinstance(node, Unary):
-                vals.append(OPS[node.op].numpy(vals[node.child]))
+                child = vals[node.child]
+                if isinstance(nodes[node.child], Const):
+                    child = np.full(n, child)
+                vals.append(OPS[node.op].numpy(child))
             else:
-                vals.append(OPS[node.op].numpy(vals[node.left], vals[node.right]))
-    out = np.array(vals[dag.root], dtype=float, copy=True)
-    out[~np.isfinite(out)] = np.nan
-    out[np.abs(out) > _OVERFLOW_GUARD] = np.nan
-    return out
+                left, right = vals[node.left], vals[node.right]
+                if isinstance(nodes[node.left], Const) and isinstance(nodes[node.right], Const):
+                    left = np.full(n, left)
+                vals.append(OPS[node.op].numpy(left, right))
+        out = vals[dag.root]
+        if isinstance(nodes[dag.root], Const):
+            out = np.full(n, out)
+        return np.where(np.abs(out) <= _OVERFLOW_GUARD, out, np.nan)
 
 
 # -- equation solving by path inversion -------------------------------------

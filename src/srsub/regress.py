@@ -70,11 +70,17 @@ def nrmse(y: np.ndarray, yhat: np.ndarray, penalty: float = NONFINITE_PENALTY) -
     total = float(np.sum(y * y))
     if total == 0.0:
         raise DegenerateY("zero output norm")
-    n = len(y)
+    return _nrmse(y, yhat, total, penalty)
+
+
+def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float,
+           penalty: float = NONFINITE_PENALTY) -> float:
+    """`nrmse` of flat float arrays given total = sum(y * y), which is not 0."""
     with np.errstate(all="ignore"):
         sq = (y - yhat) ** 2
-    bad = ~np.isfinite(sq)
-    sq = np.where(bad, penalty * penalty * total / n, sq)
+    finite = np.isfinite(sq)
+    if not finite.all():
+        sq = np.where(finite, sq, penalty * penalty * total / len(y))
     return float(np.sqrt(np.sum(sq) / total))
 
 
@@ -155,50 +161,57 @@ def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> tuple[ExprDag, ..
     return _skeleton_cache[key]
 
 
+def _fit_error(y: np.ndarray, pred: np.ndarray, total: float) -> float:
+    """The fit objective: `nrmse`, or the penalty when y is all zeros."""
+    return NONFINITE_PENALTY if total == 0.0 else _nrmse(y, pred, total)
+
+
 def _fit_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarray,
-                   refine: bool) -> tuple[dict[str, float], float]:
-    """Fit placeholders: one finite-difference Gauss-Newton step from 1.0,
-    then an optional bounded simplex refinement."""
+                   total: float) -> tuple[np.ndarray, float]:
+    """Fit placeholders by one finite-difference Gauss-Newton step from 1.0;
+    (theta, error), where theta stays at 1.0 unless the step lowers the error.
 
-    def objective(theta: np.ndarray) -> float:
-        params = dict(zip(names, theta))
-        try:
-            pred = evaluate(dag, X, params)
-            return nrmse(y, pred)
-        except DegenerateY:
-            return NONFINITE_PENALTY
-
+    `total` is sum(y * y).
+    """
     theta = np.ones(len(names))
-    best = objective(theta)
+    pred0 = evaluate(dag, X, dict(zip(names, theta)))
+    best = _fit_error(y, pred0, total)
+    if not np.isfinite(pred0).all():
+        return theta, best
     # linearization step
     try:
-        pred0 = evaluate(dag, X, dict(zip(names, theta)))
-        if np.isfinite(pred0).all():
-            eps = 1e-6
-            J = np.empty((len(y), len(names)))
-            ok = True
-            for j in range(len(names)):
-                tj = theta.copy()
-                tj[j] += eps
-                pj = evaluate(dag, X, dict(zip(names, tj)))
-                if not np.isfinite(pj).all():
-                    ok = False
-                    break
-                J[:, j] = (pj - pred0) / eps
-            if ok:
-                step, *_ = np.linalg.lstsq(J, y - pred0, rcond=None)
-                cand = theta + step
-                val = objective(cand)
-                if np.isfinite(val) and val < best:
-                    theta, best = cand, val
+        eps = 1e-6
+        J = np.empty((len(y), len(names)))
+        for j in range(len(names)):
+            tj = theta.copy()
+            tj[j] += eps
+            pj = evaluate(dag, X, dict(zip(names, tj)))
+            if not np.isfinite(pj).all():
+                return theta, best
+            J[:, j] = (pj - pred0) / eps
+        step, *_ = np.linalg.lstsq(J, y - pred0, rcond=None)
+        cand = theta + step
+        val = _fit_error(y, evaluate(dag, X, dict(zip(names, cand))), total)
+        if np.isfinite(val) and val < best:
+            theta, best = cand, val
     except (ValueError, FloatingPointError):
         pass
-    if refine:
-        res = minimize(objective, theta, method="Nelder-Mead",
-                       options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
-        if np.isfinite(res.fun) and res.fun < best:
-            theta, best = res.x, float(res.fun)
-    return dict(zip(names, theta)), best
+    return theta, best
+
+
+def _refine_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarray,
+                      total: float, theta: np.ndarray, best: float) -> tuple[np.ndarray, float]:
+    """Bounded Nelder-Mead from `_fit_constants`' (theta, best); the simplex
+    result replaces them only when its error is lower."""
+
+    def objective(t: np.ndarray) -> float:
+        return _fit_error(y, evaluate(dag, X, dict(zip(names, t))), total)
+
+    res = minimize(objective, theta, method="Nelder-Mead",
+                   options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
+    if np.isfinite(res.fun) and res.fun < best:
+        return res.x, float(res.fun)
+    return theta, best
 
 
 def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
@@ -215,34 +228,33 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     elif not budget.allow_constants:
         budget = GrammarBudget(budget.max_intermediary_nodes, budget.allowed_ops, True)
     X, y = ds.X, ds.y
+    total = float(np.sum(y * y))
 
     b = DagBuilder()
     const_model = b.extract(b.const(float(np.mean(y))), ds.d)
-    try:
-        best_err = nrmse(y, np.full(ds.n, float(np.mean(y))))
-    except DegenerateY:
-        best_err = NONFINITE_PENALTY
+    best_err = _fit_error(y, np.full(ds.n, float(np.mean(y))), total)
     best_expr = const_model
 
-    candidates: list[tuple[float, int, ExprDag, list[str]]] = []
-    for pos, skel in enumerate(_skeletons(ds.d, budget, max_skeletons)):
+    # (error, skeleton position, fitted constants or None without placeholders)
+    skeletons = _skeletons(ds.d, budget, max_skeletons)
+    candidates: list[tuple[float, int, np.ndarray | None]] = []
+    for pos, skel in enumerate(skeletons):
         names = skel.placeholders()
         if not names:
-            try:
-                err = nrmse(y, evaluate(skel, X))
-            except DegenerateY:
+            if total == 0.0:
                 continue
-            candidates.append((err, pos, skel, names))
+            candidates.append((_nrmse(y, evaluate(skel, X), total), pos, None))
         else:
-            params, err = _fit_constants(skel, names, X, y, refine=False)
-            candidates.append((err, pos, bind_placeholders(skel, params), names))
+            theta, err = _fit_constants(skel, names, X, y, total)
+            candidates.append((err, pos, theta))
 
     candidates.sort(key=lambda item: (item[0], item[1]))
-    for err, pos, expr, names in candidates[:refine_top]:
-        if names:
-            skel = _skeletons(ds.d, budget, max_skeletons)[pos]
-            params, err = _fit_constants(skel, names, X, y, refine=True)
-            expr = bind_placeholders(skel, params)
+    for err, pos, theta in candidates[:refine_top]:
+        expr = skeletons[pos]
+        if theta is not None:
+            names = expr.placeholders()
+            theta, err = _refine_constants(expr, names, X, y, total, theta, err)
+            expr = bind_placeholders(expr, dict(zip(names, theta)))
         if err < best_err - 1e-15 or (
             abs(err - best_err) <= 1e-15 and complexity(expr) < complexity(best_expr)
         ):

@@ -10,6 +10,7 @@ the result is reported as Inconclusive rather than guessed.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
         elif isinstance(node, Const):
             if node.is_placeholder:
                 vals.append(sp.Symbol(node.name or "c", real=True))
-            elif node.value == int(node.value) and abs(node.value) < 1e15:
+            elif abs(node.value) < 1e15 and node.value == int(node.value):
                 vals.append(sp.Integer(int(node.value)))
             else:
                 vals.append(sp.Float(node.value))
@@ -228,12 +229,8 @@ def depends_on(dag: ExprDag, variables: Iterable[int],
     otherwise Inconclusive is raised.
     """
     rng = rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
-    targets = sorted(set(variables))
-    s = simplify(dag)
-    if not (s.var_indices() & set(targets)):
-        sym_dep = False
-    else:
-        sym_dep = symbolic_depends(to_sympy(s), [_sym(i) for i in targets])
+    targets = tuple(sorted(set(variables)))
+    sym_dep = _symbolic_dependence(simplify(dag), targets)
     num_dep = numeric_depends(_dag_fn(dag), dag.arity, targets, rng)
     if num_dep is None:
         if not sym_dep:
@@ -244,6 +241,19 @@ def depends_on(dag: ExprDag, variables: Iterable[int],
             f"symbolic ({sym_dep}) and numeric ({num_dep}) dependence checks disagree"
         )
     return sym_dep
+
+
+@functools.lru_cache(maxsize=4096)
+def _symbolic_dependence(s: ExprDag, targets: tuple[int, ...]) -> bool:
+    """The symbolic half of `depends_on` for a simplified dag.
+
+    The verdict is a function of the dag's structure, which its key pins, so
+    it is kept: enumerating out-input candidates asks again about every dag
+    that enumerating input candidates of the same arity already asked about.
+    """
+    if not (s.var_indices() & set(targets)):
+        return False
+    return symbolic_depends(to_sympy(s), [_sym(i) for i in targets])
 
 
 def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,

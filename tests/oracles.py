@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from srsub.dag import DagBuilder
+from srsub.dag import OPS, Const, DagBuilder, Unary, Var
 from srsub.grammar import GrammarBudget
 
 # -- quadratic-time ranks ------------------------------------------------------
@@ -98,6 +98,60 @@ def nrmse_direct(y, yhat):
     num = sum((float(a) - float(b)) ** 2 for a, b in zip(y, yhat))
     den = sum(float(a) ** 2 for a in y)
     return math.sqrt(num / den)
+
+
+# -- node-by-node evaluation ------------------------------------------------------
+
+
+def _div_nodewise(l, r):
+    return np.where(r != 0, l / np.where(r != 0, r, 1.0), np.nan)
+
+
+def _inv_nodewise(c):
+    return np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.inf)
+
+
+_NODEWISE_NUMPY = {**{name: op.numpy for name, op in OPS.items()},
+                   "/": _div_nodewise, "inv": _inv_nodewise}
+
+
+def evaluate_nodewise(dag, X, params=None):
+    """Evaluate every node on a full column: constants as n-arrays, then
+    non-finite or |v| > 1e150 results set to nan by masked assignment."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    n = X.shape[0]
+    vals = []
+    with np.errstate(all="ignore"):
+        for node in dag.nodes:
+            if isinstance(node, Var):
+                vals.append(X[:, node.index])
+            elif isinstance(node, Const):
+                v = params[node.name] if node.is_placeholder else node.value
+                vals.append(np.full(n, v))
+            elif isinstance(node, Unary):
+                vals.append(_NODEWISE_NUMPY[node.op](vals[node.child]))
+            else:
+                vals.append(_NODEWISE_NUMPY[node.op](vals[node.left], vals[node.right]))
+    out = np.array(vals[dag.root], dtype=float, copy=True)
+    out[~np.isfinite(out)] = np.nan
+    out[np.abs(out) > 1e150] = np.nan
+    return out
+
+
+def nrmse_masked(y, yhat, penalty=10.0):
+    """NRMSE with every non-finite squared error replaced by the penalty
+    term through one unconditional `np.where`."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    yhat = np.asarray(yhat, dtype=float).reshape(-1)
+    total = float(np.sum(y * y))
+    n = len(y)
+    with np.errstate(all="ignore"):
+        sq = (y - yhat) ** 2
+    bad = ~np.isfinite(sq)
+    sq = np.where(bad, penalty * penalty * total / n, sq)
+    return float(np.sqrt(np.sum(sq) / total))
 
 
 # -- exhaustive tree enumeration oracle ------------------------------------------

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from srsub import evaluate, parse, solve_for, to_text
+from srsub import GrammarBudget, RegressorSpec, evaluate, parse, solve_for, to_text
 from srsub.dag import invertible_path
 from srsub.errors import NotSolvable
+from srsub.regress import _skeletons
 from srsub.simplify import simplify
+
+from oracles import evaluate_nodewise
 
 # the introductory capillary-flow formula in its original variable order
 # (x1=t, x2=viscosity, x3=surface tension, x4=radius, x5=contact angle)
@@ -46,6 +49,36 @@ def test_eval_never_raises_on_bad_rows():
     assert not np.isfinite(out[0])
     assert not np.isfinite(out[1])  # log(1) = 0 divisor
     assert out[2] == pytest.approx(2.0)
+
+
+def _guard_inputs(arity, rng, n=48):
+    """Random rows with exact zeros (divisors, logs) and entries whose
+    results pass the 1e150 overflow guard or overflow to inf."""
+    X = rng.uniform(-3.0, 3.0, size=(n, arity))
+    X[::5, 0] = 0.0
+    X[2::7, -1] = 0.0
+    X[1::9, :] = 1e160
+    X[3::11, 0] = -1e200
+    X[4::13, -1] = 710.0
+    return X
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_evaluate_bitwise_equal_to_nodewise_on_dagsearch_skeletons(arity):
+    # every skeleton the default dagsearch fit enumerates for this arity
+    spec = RegressorSpec(kind="dagsearch")
+    budget = GrammarBudget(spec.max_intermediary_nodes, allow_constants=True)
+    rng = np.random.default_rng(arity)
+    X = _guard_inputs(arity, rng)
+    pool = (0.0, 1.0, -1.0, 1e155, 1e-200)
+    for skel in _skeletons(arity, budget, spec.max_skeletons):
+        params = {name: (pool[rng.integers(len(pool))] if rng.random() < 0.3
+                         else rng.normal(scale=3.0))
+                  for name in skel.placeholders()}
+        got = evaluate(skel, X, params)
+        want = evaluate_nodewise(skel, X, params)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), skel
 
 
 @pytest.mark.parametrize("text", [

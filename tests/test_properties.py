@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from srsub.dag import (
+    BINARY_OPS,
     OPS,
+    UNARY_OPS,
     Const,
     DagBuilder,
     bind_placeholders,
@@ -23,6 +25,8 @@ from srsub.dag import (
     variable,
 )
 from srsub.exprtext import parse, to_text
+
+from oracles import evaluate_nodewise
 
 _CONSTANTS = (0.5, 1.0, 2.0, -3.0, 2.5066282746310002, 1e-3, 1e20)
 
@@ -59,6 +63,21 @@ def dags(draw, arity=3, constants=True, placeholders=True, max_ops=5):
 
 
 @st.composite
+def constant_operand_dags(draw, arity=3):
+    """A random program whose first op takes a constant or a placeholder:
+    a unary op on a constant, a binary op on two constants, or, with no op,
+    a constant root."""
+    b = DagBuilder()
+    leaves = [b.const(draw(st.sampled_from(_CONSTANTS + (0.0, 1e160)))), b.param("c0")]
+    pool = [b.var(i) for i in range(arity)] + leaves
+    root = draw(st.sampled_from(leaves))
+    for _ in range(draw(st.integers(0, 4))):
+        root = _apply(draw, b, tuple(OPS), root, pool)
+        pool.append(root)
+    return b.extract(root, arity)
+
+
+@st.composite
 def solvable(draw, arity=3):
     """(lhs, target): x_target occurs once in lhs, under invertible ops
     only; the other operands may use any op."""
@@ -78,6 +97,14 @@ def points(arity, rows=24):
     """Rows mixing exact zeros and ones, where the domain guards act, with
     ordinary values."""
     element = st.one_of(st.sampled_from((0.0, 1.0, -1.0)),
+                        st.floats(-4.0, 4.0, allow_nan=False))
+    return arrays(np.float64, (rows, arity), elements=element)
+
+
+def guard_points(arity, rows=24):
+    """Like `points`, plus entries that push results past the 1e150 guard or
+    overflow them to inf."""
+    element = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 1e160, -1e200, 710.0)),
                         st.floats(-4.0, 4.0, allow_nan=False))
     return arrays(np.float64, (rows, arity), elements=element)
 
@@ -111,6 +138,51 @@ def test_bind_placeholders_matches_evaluate_with_params(dag, values, X):
     bound = bind_placeholders(dag, params)
     assert not bound.placeholders()
     _agree_where_finite(evaluate(bound, X), evaluate(dag, X, params))
+
+
+_PARAM = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 1e155)), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dag=st.one_of(dags(), constant_operand_dags()), c0=_PARAM, c1=_PARAM,
+       X=guard_points(3))
+def test_evaluate_bitwise_equal_to_nodewise(dag, c0, c1, X):
+    params = {"c0": c0, "c1": c1}
+    got = evaluate(dag, X, params)
+    want = evaluate_nodewise(dag, X, params)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(X),)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _constant_operand_cases():
+    """Hand-built dags whose ops see only constants and placeholders."""
+    cases = []
+    for op in UNARY_OPS:
+        b = DagBuilder()
+        cases.append(b.extract(b.binary("+", b.unary(op, b.const(2.0)), b.var(0)), 1))
+        b = DagBuilder()
+        cases.append(b.extract(b.unary(op, b.param("c0")), 1))
+    for op in BINARY_OPS:
+        for right in (0.0, 2.0):
+            b = DagBuilder()
+            node = b.binary(op, b.param("c0"), b.const(right))
+            cases.append(b.extract(node, 1))
+            cases.append(b.extract(b.unary("exp", node), 1))
+    cases.append(parse("3.5", arity=1))
+    b = DagBuilder()
+    cases.append(b.extract(b.param("c0"), 1))
+    return cases
+
+
+@pytest.mark.parametrize("dag", _constant_operand_cases(), ids=str)
+def test_evaluate_constant_operands_bitwise(dag):
+    X = np.array([[0.0], [1.0], [-3.0], [1e160]])
+    # the last three are a numpy scalar, a 0-d array and an int
+    for c0 in (0.0, 1.0, -2.5, 1e160, np.float64(0.5), np.array(-0.5), 3):
+        got = evaluate(dag, X, {"c0": c0})
+        want = evaluate_nodewise(dag, X, {"c0": c0})
+        assert got.shape == want.shape == (4,)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=300, deadline=None)

@@ -21,11 +21,14 @@ from srsub import (
     search,
     solve_pipeline,
 )
+from srsub import regress
 from srsub.beamsearch import SearchNode, _score_dataset, SearchResult
+from srsub.dag import DagBuilder
 from srsub.errors import DegenerateY, ExternalFailure
+from srsub.exprtext import to_text
 from srsub.regress import holdout_mask
 
-from oracles import nrmse_direct
+from oracles import nrmse_direct, nrmse_masked
 
 
 def _dataset(f_text, n=300, seed=0, low=0.5, high=2.5):
@@ -59,6 +62,24 @@ def test_nrmse_nonfinite_penalty_cap():
     y = np.ones(4)
     yhat = np.full(4, np.nan)
     assert nrmse(y, yhat) == pytest.approx(10.0)
+
+
+def test_nrmse_bitwise_equal_to_unconditional_penalty_formula():
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=300)
+    cases = [y + 0.1 * rng.normal(size=300), y.copy()]
+    bad = cases[0].copy()
+    bad[::7] = np.nan
+    bad[3::11] = np.inf
+    bad[5::13] = -np.inf
+    bad[6::17] = 1e200  # finite prediction, overflowing squared error
+    cases.append(bad)
+    cases.append(np.full(300, np.nan))
+    for yhat in cases:
+        for penalty in (10.0, 3.0):
+            got = np.float64(nrmse(y, yhat, penalty))
+            want = np.float64(nrmse_masked(y, yhat, penalty))
+            assert got.view(np.int64) == want.view(np.int64)
 
 
 def test_nrmse_degenerate():
@@ -144,6 +165,93 @@ def test_dagsearch_constant_fallback():
                          max_skeletons=50)
     pred = evaluate(expr, X)
     assert np.allclose(pred, 4.25, atol=1e-9)
+
+
+def _three_variable_dataset(text):
+    rng = np.random.default_rng(2024)
+    f = parse(text)
+    X = rng.uniform(0.5, 2.5, size=(200, 3))
+    return Dataset.from_arrays(X, evaluate(f, X) + 0.01 * rng.normal(size=200))
+
+
+@pytest.mark.parametrize("text, max_skeletons, want_expr, want_nrmse", [
+    ("x1*x2+x3", 10_000, "x3+x2*((-0.00012793619579865023)+x1)", "0x1.50768147083fbp-9"),
+    ("2.5*x1*x2+x3", 3000, "2.6358142566473077+x2*(x1+x1)", "0x1.c37052fe1967fp-4"),
+])
+def test_dagsearch_golden_fit(text, max_skeletons, want_expr, want_nrmse):
+    # recorded before the fit stopped repeating work; the constants print
+    # with repr, so equal text pins every fitted constant bit for bit
+    ds = _three_variable_dataset(text)
+    expr = fit_dagsearch(ds, max_skeletons=max_skeletons)
+    assert to_text(expr) == want_expr
+    assert nrmse(ds.y, evaluate(expr, ds.X)).hex() == want_nrmse
+
+
+class _Counter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self.results = []
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        out = self.fn(*args, **kwargs)
+        self.results.append(out)
+        return out
+
+
+def _affine_skeleton():
+    # c0*x1 + c1: two placeholders, finite at every constant value
+    b = DagBuilder()
+    node = b.binary("+", b.binary("*", b.param("c0"), b.var(0)), b.param("c1"))
+    return b.extract(node, 1)
+
+
+def _affine_data():
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0.5, 2.0, size=(80, 1))
+    return X, 3.0 * X[:, 0] - 0.5 + 0.01 * rng.normal(size=80)
+
+
+def test_first_pass_evaluates_each_point_once(monkeypatch):
+    # one evaluation at theta = 1, one per placeholder for the Jacobian and
+    # one at the Gauss-Newton point: k + 2
+    skel = _affine_skeleton()
+    names = skel.placeholders()
+    X, y = _affine_data()
+    counter = _Counter(regress.evaluate)
+    monkeypatch.setattr(regress, "evaluate", counter)
+    theta, err = regress._fit_constants(skel, names, X, y, float(np.sum(y * y)))
+    assert counter.calls == len(names) + 2
+    assert err < 0.01
+    assert err == nrmse(y, evaluate(skel, X, dict(zip(names, theta))))
+
+
+def test_refine_evaluates_once_per_simplex_evaluation(monkeypatch):
+    skel = _affine_skeleton()
+    names = skel.placeholders()
+    X, y = _affine_data()
+    total = float(np.sum(y * y))
+    theta, err = regress._fit_constants(skel, names, X, y, total)
+    evaluations = _Counter(regress.evaluate)
+    simplex = _Counter(regress.minimize)
+    monkeypatch.setattr(regress, "evaluate", evaluations)
+    monkeypatch.setattr(regress, "minimize", simplex)
+    _, refined = regress._refine_constants(skel, names, X, y, total, theta, err)
+    assert simplex.calls == 1
+    assert evaluations.calls == simplex.results[0].nfev
+    assert refined <= err
+
+
+def test_dagsearch_binds_only_refined_winners(monkeypatch):
+    ds = _dataset("x1*x2", n=100, seed=13)
+    counter = _Counter(regress.bind_placeholders)
+    monkeypatch.setattr(regress, "bind_placeholders", counter)
+    fit_dagsearch(ds, GrammarBudget(max_intermediary_nodes=1, allow_constants=True),
+                  max_skeletons=2000, refine_top=5)
+    assert 1 <= counter.calls <= 5
 
 
 # -- external bridge ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Canonical simplification, complexity, and subexpression sets."""
 
 import numpy as np
+import pytest
 
 from srsub import complexity, evaluate, parse, simplify, subexpressions, to_text
 from srsub import GrammarBudget, enumerate_dags
@@ -86,3 +87,11 @@ def test_subexpressions_single_variable():
 def test_subexpressions_set_semantics():
     subs = subexpressions(parse("x1+x1"))
     assert subs == {parse("x1"), parse("x1+x1")}
+
+
+@pytest.mark.parametrize("text", ["1e200*(1e200*x1)", "1e308+(1e308+x1)"])
+def test_simplify_and_complexity_fold_to_infinity_without_raising(text):
+    # folding the two constants overflows to inf, which the node key prints
+    s = simplify(parse(text))
+    assert "inf" in s.key
+    assert complexity(parse(text)) >= 1

@@ -1,5 +1,7 @@
 """Candidate generation, dataset transforms, and substitution verification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from srsub.substitution import (
     degenerate_column,
     gen_input_candidates,
     gen_outinput_candidates,
+    input_candidate_dags,
+    outinput_candidate_dags,
 )
 
 WASHBURN = "sqrt(x1*x2*x3*cos(x4)/(2*x5))"
@@ -38,6 +42,19 @@ def _math_comb(n, k):
 
 
 # -- generation ------------------------------------------------------------------
+
+
+def test_default_budget_candidate_dags_unchanged():
+    # digest of the candidate keys, in order, recorded before the CAS
+    # verdicts behind them were memoized
+    budget = GrammarBudget()
+    keys = (tuple(d.key for d in input_candidate_dags(2, budget)),
+            tuple(d.key for d in input_candidate_dags(3, budget)),
+            tuple(d.key for d in outinput_candidate_dags(1, budget)),
+            tuple(d.key for d in outinput_candidate_dags(2, budget)))
+    assert [len(k) for k in keys] == [168, 68, 114, 68]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "d7bca03f3f944049b5ea27941dcfe8442b8cdfd7fd5e2c03722104125ab5d995")
 
 
 def test_input_candidates_include_four_classics():

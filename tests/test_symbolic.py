@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from srsub import depends_on, equivalent, parse
+from srsub import depends_on, equivalent, parse, symbolic
 from srsub.errors import Inconclusive
 
 
@@ -33,6 +33,21 @@ def test_depends_inconclusive_on_branch_mismatch():
     dag = parse("sqrt(x1*x1)/x1")
     with pytest.raises(Inconclusive):
         depends_on(dag, {0})
+
+
+def test_depends_on_memoized_verdict_keeps_rng_stream():
+    # the second call reuses the CAS verdict but still draws its numeric
+    # check from the caller's generator, exactly as the first call did
+    dag = parse("(x1*x2*x3+x1*(x2+log(x2))/x3)/x1+x4")
+    symbolic._symbolic_dependence.cache_clear()
+    streams = []
+    for _ in range(2):
+        rng = np.random.default_rng(5)
+        assert depends_on(dag, {0, 3}, rng=rng) is True
+        streams.append(rng.random(4))
+    info = symbolic._symbolic_dependence.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    np.testing.assert_array_equal(streams[0], streams[1])
 
 
 def test_equivalent_commutativity():
