@@ -50,7 +50,6 @@ class BeamConfig:
     measure: str = "codec"
     budget: GrammarBudget = field(default_factory=GrammarBudget)
     sub_types: frozenset = frozenset({"input", "outinput"})
-    max_depth: int | None = None
     grammar: str = "dag"  # "dag" or "aifeynman"
 
     def __post_init__(self) -> None:
@@ -171,7 +170,7 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     except DegenerateY:
         root_score = DependenceScore(float("-inf"), cfg.measure)
     root = SearchNode(dataset=root_ds, score=root_score)
-    max_depth = cfg.max_depth if cfg.max_depth is not None else max(root_ds.d - 1, 0)
+    max_depth = max(root_ds.d - 1, 0)
 
     levels: list[list[SearchNode]] = []
     beam = [root]

@@ -19,21 +19,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
-from . import symbolic
-from .beamsearch import BeamConfig, SearchNode, SearchResult, search, trace_records
+from .beamsearch import BeamConfig, SearchResult, search, trace_records
 from .dag import ExprDag, evaluate
 from .errors import Unsampleable, Unverifiable
 from .exprtext import parse
 from .regress import RegressorSpec, holdout_mask, solve_pipeline
 from .simplify import subexpressions
-from .substitution import (
-    Dataset,
-    InputSub,
-    reduce_truth_input,
-    reduce_truth_outinput,
-)
+from .substitution import Dataset, reduce_truth, sympy_truth
 from .symbolic import equivalent
 
 SAMPLER_START = 1.0
@@ -183,45 +176,27 @@ def add_noise(y: np.ndarray, gamma: float, seed: int) -> np.ndarray:
 # -- verification of search results ---------------------------------------------
 
 
-def _chain_verify(result: SearchResult, p: Problem) -> dict[int, bool]:
-    """Validity of every surviving node's full edge chain.
+def _chain_verify(result: SearchResult, p: Problem) -> set[int]:
+    """The ids of the surviving nodes whose full edge chain is valid.
 
-    Returns {id(node): verified}; Unverifiable edges count as not verified
-    and are tallied by the caller via `chain_stats`.
+    Levels are walked in order, so each node's parent (the root or a
+    survivor of the previous level) is settled before the node.
+    Unverifiable edges count as not verified.
     """
-    symbols = [sp.Symbol(f"x{i + 1}", real=True) for i in range(p.d)]
-    truth = symbolic.to_sympy(p.f_true, subs=symbols)
-    states: dict[int, tuple[bool, sp.Expr | None, list | None]] = {}
-    root = result.root
-    states[id(root)] = (True, truth, symbols)
-    verdict: dict[int, bool] = {id(root): True}
-
-    def node_state(node: SearchNode):
-        key = id(node)
-        if key in states:
-            return states[key]
-        parent_ok, parent_truth, parent_syms = node_state(node.parent)
-        if not parent_ok:
-            states[key] = (False, None, None)
-        else:
-            try:
-                if isinstance(node.edge, InputSub):
-                    ok, new_truth, new_syms = reduce_truth_input(
-                        parent_truth, parent_syms, node.edge
-                    )
-                else:
-                    ok, new_truth, new_syms = reduce_truth_outinput(
-                        parent_truth, parent_syms, node.edge
-                    )
-            except Unverifiable:
-                ok, new_truth, new_syms = False, None, None
-            states[key] = (ok, new_truth, new_syms)
-        return states[key]
-
+    # the reduced formula and symbols of every verified node
+    reduced = {id(result.root): sympy_truth(p.f_true)}
     for level in result.all_levels:
         for node in level:
-            verdict[id(node)] = node_state(node)[0]
-    return verdict
+            parent = reduced.get(id(node.parent))
+            if parent is None:
+                continue
+            try:
+                ok, truth, symbols = reduce_truth(*parent, node.edge)
+            except Unverifiable:
+                continue
+            if ok:
+                reduced[id(node)] = (truth, symbols)
+    return set(reduced)
 
 
 def reduction_rate(result: SearchResult, p: Problem) -> tuple[float, bool]:
@@ -236,7 +211,7 @@ def reduction_rate(result: SearchResult, p: Problem) -> tuple[float, bool]:
 
 def chain_stats(result: SearchResult, p: Problem) -> dict:
     """Reduction rates plus verification bookkeeping for report rows."""
-    verdict = _chain_verify(result, p)
+    verified = _chain_verify(result, p)
     d0 = result.root.dataset.d
     best_vars = d0
     best_vars_unfiltered = d0
@@ -246,14 +221,14 @@ def chain_stats(result: SearchResult, p: Problem) -> dict:
         for node in level:
             n_nodes += 1
             best_vars_unfiltered = min(best_vars_unfiltered, node.n_vars)
-            if verdict[id(node)]:
+            if id(node) in verified:
                 n_valid += 1
                 best_vars = min(best_vars, node.n_vars)
     return {
         "reduction_rate": 1.0 - best_vars / d0,
         "reduction_rate_unfiltered": 1.0 - best_vars_unfiltered / d0,
         "valid_sub_fraction": (n_valid / n_nodes) if n_nodes else 1.0,
-        "best_path_valid": verdict.get(id(result.best), False),
+        "best_path_valid": id(result.best) in verified,
     }
 
 

@@ -9,6 +9,7 @@ command and parses one expression line from its stdout.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import subprocess
 import tempfile
@@ -67,7 +68,8 @@ def nrmse(y: np.ndarray, yhat: np.ndarray, penalty: float = NONFINITE_PENALTY) -
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    total = float(np.sum(y * y))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(y * y))
     if total == 0.0:
         raise DegenerateY("zero output norm")
     return _nrmse(y, yhat, total, penalty)
@@ -76,6 +78,11 @@ def nrmse(y: np.ndarray, yhat: np.ndarray, penalty: float = NONFINITE_PENALTY) -
 def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float,
            penalty: float = NONFINITE_PENALTY) -> float:
     """`nrmse` of flat float arrays given total = sum(y * y), which is not 0."""
+    if not math.isfinite(total):
+        # sum(y * y) overflowed; the ratio does not depend on the scale of y
+        scale = float(np.max(np.abs(y)))
+        y, yhat = y / scale, yhat / scale
+        total = float(np.sum(y * y))
     with np.errstate(all="ignore"):
         sq = (y - yhat) ** 2
     finite = np.isfinite(sq)
@@ -228,7 +235,8 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     elif not budget.allow_constants:
         budget = GrammarBudget(budget.max_intermediary_nodes, budget.allowed_ops, True)
     X, y = ds.X, ds.y
-    total = float(np.sum(y * y))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(y * y))
 
     b = DagBuilder()
     const_model = b.extract(b.const(float(np.mean(y))), ds.d)

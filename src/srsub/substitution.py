@@ -144,8 +144,7 @@ class Dataset:
 # -- candidate generation -----------------------------------------------------
 
 
-_input_dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
-_outinput_dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
+_dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
 
 
 def _budget_key(arity: int, budget: GrammarBudget) -> tuple:
@@ -166,8 +165,8 @@ def _depends_on_all(dag: ExprDag, rng: np.random.Generator) -> bool:
 def input_candidate_dags(arity: int, budget: GrammarBudget) -> tuple[ExprDag, ...]:
     """Constant-free dags of the given arity that depend on all their inputs,
     deduplicated by canonical form."""
-    key = _budget_key(arity, budget)
-    if key not in _input_dag_cache:
+    key = ("input",) + _budget_key(arity, budget)
+    if key not in _dag_cache:
         budget = replace(budget, allow_constants=False)
         rng = np.random.default_rng(symbolic.DEFAULT_SEED)
         out: list[ExprDag] = []
@@ -179,31 +178,19 @@ def input_candidate_dags(arity: int, budget: GrammarBudget) -> tuple[ExprDag, ..
             seen.add(canon.key)
             if _depends_on_all(canon, rng):
                 out.append(canon)
-        _input_dag_cache[key] = tuple(out)
-    return _input_dag_cache[key]
+        _dag_cache[key] = tuple(out)
+    return _dag_cache[key]
 
 
 def outinput_candidate_dags(n_inputs: int, budget: GrammarBudget) -> tuple[ExprDag, ...]:
     """Dags over (x_1..x_nI, y) where y occurs once on an invertible path and
-    the dag depends on y and on every input."""
-    key = _budget_key(n_inputs, budget)
-    if key not in _outinput_dag_cache:
-        budget = replace(budget, allow_constants=False)
-        rng = np.random.default_rng(symbolic.DEFAULT_SEED)
-        y_slot = n_inputs
-        out: list[ExprDag] = []
-        seen: set[str] = set()
-        for dag in enumerate_dags(n_inputs + 1, budget):
-            canon = simplify(dag)
-            if canon.key in seen:
-                continue
-            seen.add(canon.key)
-            if not invertible_path(canon, y_slot):
-                continue
-            if _depends_on_all(canon, rng):
-                out.append(canon)
-        _outinput_dag_cache[key] = tuple(out)
-    return _outinput_dag_cache[key]
+    the dag depends on y and on every input: the input candidates over
+    n_inputs + 1 columns whose last column lies on an invertible path."""
+    key = ("outinput",) + _budget_key(n_inputs, budget)
+    if key not in _dag_cache:
+        _dag_cache[key] = tuple(dag for dag in input_candidate_dags(n_inputs + 1, budget)
+                                if invertible_path(dag, n_inputs))
+    return _dag_cache[key]
 
 
 def gen_input_candidates(d: int, budget: GrammarBudget) -> Iterator[InputSub]:
@@ -259,32 +246,28 @@ def _retained(d: int, I: Sequence[int]) -> list[int]:
     return [j for j in range(d) if j not in drop]
 
 
+def _finite_rows(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rows where a substitution's new values are finite and the fraction
+    of rows dropped; TooFewRows past the limit."""
+    mask = np.isfinite(values)
+    frac = 1.0 - float(mask.mean())
+    if frac > MAX_ROW_DROP_FRACTION:
+        raise TooFewRows(f"{frac:.1%} of rows dropped")
+    return mask, frac
+
+
 def apply_input(ds: Dataset, sub: InputSub) -> Dataset:
     """Transformed dataset with column g(x_I) followed by the retained
     columns; rows where g is non-finite are dropped."""
     if any(i >= ds.d for i in sub.I):
         raise ValueError("substitution indices outside dataset columns")
     col = evaluate(sub.g, ds.X[:, sub.I])
-    mask = np.isfinite(col)
-    frac = 1.0 - float(mask.mean())
-    if frac > MAX_ROW_DROP_FRACTION:
-        raise TooFewRows(f"{frac:.1%} of rows dropped")
+    mask, frac = _finite_rows(col)
     keep = _retained(ds.d, sub.I)
-    new_x = np.column_stack([col[mask], ds.X[mask][:, keep]])
-    d0 = ds.d_original
-    new_map = (compose(sub.g, [ds.var_map[i] for i in sub.I], d0),) + tuple(
-        ds.var_map[j] for j in keep
-    )
-    return Dataset(
-        X=new_x,
-        y=ds.y[mask],
-        var_map=new_map,
-        y_map=ds.y_map,
-        origin_X=ds.origin_X[mask],
-        origin_y=ds.origin_y[mask],
-        origin_rows=ds.origin_rows[mask],
-        drop_fraction=frac,
-    )
+    g_map = compose(sub.g, [ds.var_map[i] for i in sub.I], ds.d_original)
+    return replace(ds, X=np.column_stack([col, ds.X[:, keep]]),
+                   var_map=(g_map,) + tuple(ds.var_map[j] for j in keep),
+                   drop_fraction=frac).restrict_rows(mask)
 
 
 def apply_outinput(ds: Dataset, sub: OutInputSub) -> Dataset:
@@ -293,29 +276,12 @@ def apply_outinput(ds: Dataset, sub: OutInputSub) -> Dataset:
         raise ValueError("substitution indices outside dataset columns")
     if len(sub.I) >= ds.d:
         raise ValueError("out-input substitution must leave at least one input")
-    args = np.column_stack([ds.X[:, sub.I], ds.y])
-    new_y = evaluate(sub.h, args)
-    mask = np.isfinite(new_y)
-    frac = 1.0 - float(mask.mean())
-    if frac > MAX_ROW_DROP_FRACTION:
-        raise TooFewRows(f"{frac:.1%} of rows dropped")
+    new_y = evaluate(sub.h, np.column_stack([ds.X[:, sub.I], ds.y]))
+    mask, frac = _finite_rows(new_y)
     keep = _retained(ds.d, sub.I)
-    d0 = ds.d_original
-    new_y_map = compose(
-        sub.h,
-        [ds.var_map[i] for i in sub.I] + [ds.y_map],
-        d0 + 1,
-    )
-    return Dataset(
-        X=ds.X[mask][:, keep],
-        y=new_y[mask],
-        var_map=tuple(ds.var_map[j] for j in keep),
-        y_map=new_y_map,
-        origin_X=ds.origin_X[mask],
-        origin_y=ds.origin_y[mask],
-        origin_rows=ds.origin_rows[mask],
-        drop_fraction=frac,
-    )
+    y_map = compose(sub.h, [ds.var_map[i] for i in sub.I] + [ds.y_map], ds.d_original + 1)
+    return replace(ds, X=ds.X[:, keep], y=new_y, var_map=tuple(ds.var_map[j] for j in keep),
+                   y_map=y_map, drop_fraction=frac).restrict_rows(mask)
 
 
 def apply_substitution(ds: Dataset, sub: Substitution) -> Dataset:
@@ -463,29 +429,27 @@ def reduce_truth_outinput(truth: sp.Expr, symbols: Sequence[sp.Symbol],
     return True, cleaned, [symbols[j] for j in keep]
 
 
-def _truth_symbols(f_true: ExprDag) -> list[sp.Symbol]:
-    return [sp.Symbol(f"x{i + 1}", real=True) for i in range(f_true.arity)]
+def reduce_truth(truth: sp.Expr, symbols: Sequence[sp.Symbol], sub: Substitution,
+                 rng: np.random.Generator | None = None
+                 ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
+    """`reduce_truth_input` or `reduce_truth_outinput`, by the kind of sub."""
+    if isinstance(sub, InputSub):
+        return reduce_truth_input(truth, symbols, sub, rng)
+    return reduce_truth_outinput(truth, symbols, sub, rng)
 
 
-def verify_input_sub(f_true: ExprDag, sub: InputSub,
-                     rng: np.random.Generator | None = None) -> bool:
-    """Whether the substitution is valid for the known formula."""
-    symbols = _truth_symbols(f_true)
-    truth = symbolic.to_sympy(f_true, subs=symbols)
-    valid, _, _ = reduce_truth_input(truth, symbols, sub, rng)
-    return valid
-
-
-def verify_outinput_sub(f_true: ExprDag, sub: OutInputSub,
-                        rng: np.random.Generator | None = None) -> bool:
-    symbols = _truth_symbols(f_true)
-    truth = symbolic.to_sympy(f_true, subs=symbols)
-    valid, _, _ = reduce_truth_outinput(truth, symbols, sub, rng)
-    return valid
+def sympy_truth(f_true: ExprDag) -> tuple[sp.Expr, list[sp.Symbol]]:
+    """The known formula as a sympy expression over real symbols x1..xd."""
+    symbols = [sp.Symbol(f"x{i + 1}", real=True) for i in range(f_true.arity)]
+    return symbolic.to_sympy(f_true, subs=symbols), symbols
 
 
 def verify_substitution(f_true: ExprDag, sub: Substitution,
                         rng: np.random.Generator | None = None) -> bool:
-    if isinstance(sub, InputSub):
-        return verify_input_sub(f_true, sub, rng)
-    return verify_outinput_sub(f_true, sub, rng)
+    """Whether the substitution is valid for the known formula."""
+    truth, symbols = sympy_truth(f_true)
+    valid, _, _ = reduce_truth(truth, symbols, sub, rng)
+    return valid
+
+
+verify_input_sub = verify_outinput_sub = verify_substitution

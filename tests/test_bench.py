@@ -5,7 +5,10 @@ import pytest
 
 from srsub import (
     BeamConfig,
+    GrammarBudget,
+    InputSub,
     NoiseLevel,
+    OutInputSub,
     Problem,
     RegressorSpec,
     add_noise,
@@ -18,6 +21,7 @@ from srsub import (
     sample_problem,
     search,
 )
+from srsub.bench import _chain_verify, chain_stats
 from srsub.errors import Unsampleable
 
 
@@ -138,6 +142,28 @@ def test_reduction_rate_one_third():
     result = search(ds, cfg)
     rate, _ = reduction_rate(result, p)
     assert rate == pytest.approx(1 / 3)
+
+
+def test_chain_stats_with_invalid_parent():
+    # values recorded while chain verification was a recursive closure
+    p = Problem(id="mixed", d=4, f_true=parse("x1*x2+x3*x4"))
+    ds = sample_problem(p, 200, seed=1)
+    cfg = BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0,
+                                                       allowed_ops=frozenset({"*", "/"})))
+    result = search(ds, cfg)
+    nodes = [node for level in result.all_levels for node in level]
+    assert {type(node.edge) for node in nodes} == {InputSub, OutInputSub}
+    verified = _chain_verify(result, p)
+    assert [id(node) in verified for node in nodes] == [
+        True, True, False, True, True, False, False, False, False]
+    # the last survivor's parent failed verification
+    assert id(nodes[-1].parent) not in verified
+    assert chain_stats(result, p) == {
+        "reduction_rate": 0.5,
+        "reduction_rate_unfiltered": 0.75,
+        "valid_sub_fraction": 4 / 9,
+        "best_path_valid": True,
+    }
 
 
 # -- benchmark loop -------------------------------------------------------------------

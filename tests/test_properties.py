@@ -1,4 +1,4 @@
-"""Property tests of the expression layers over generated dags.
+"""Property tests of the expression layers and the search over generated dags.
 
 Dags are drawn as random programs over the operators in `OPS`, with
 variables, numeric constants and placeholders as leaves.
@@ -7,10 +7,11 @@ variables, numeric constants and placeholders as leaves.
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from srsub import BeamConfig, Dataset, GrammarBudget, InputSub, OutInputSub, search
 from srsub.dag import (
     BINARY_OPS,
     OPS,
@@ -234,3 +235,47 @@ def test_op_table_backends_agree(name, values):
         assert op.fold is None
     if all(np.isfinite(results)):
         np.testing.assert_allclose(results[1:], results[0], rtol=1e-12, atol=1e-300)
+
+
+# -- search nodes ---------------------------------------------------------------
+
+# sqrt and log make some candidates drop the rows where their argument is
+# negative; about 9% of the sampled values are
+_SEARCH_BUDGET = GrammarBudget(max_intermediary_nodes=1,
+                               allowed_ops=frozenset({"+", "-", "*", "/", "sqrt", "log"}))
+
+
+def _search_samples(f, seed, n=60):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-0.3, 3.0, size=(n, f.arity))
+    y = evaluate(f, X)
+    ok = np.isfinite(y)
+    return Dataset.from_arrays(X[ok], y[ok]) if ok.sum() >= 30 else None
+
+
+def _validate_every_node(ds):
+    """Run a search and check `Dataset.validate` on every surviving node;
+    the (kind, rows dropped) pairs of their edges."""
+    result = search(ds, BeamConfig(beam_size=3, budget=_SEARCH_BUDGET))
+    seen = set()
+    for level in result.all_levels:
+        for node in level:
+            node.dataset.validate()
+            seen.add((type(node.edge), node.dataset.drop_fraction > 0))
+    return seen
+
+
+def test_validate_holds_on_search_nodes_of_both_kinds_with_row_drops():
+    seen = set()
+    for text in ("x1*x2+sqrt(x3)", "x2*x3/(x1*x1)"):
+        seen |= _validate_every_node(_search_samples(parse(text), seed=1))
+    assert {(InputSub, True), (OutInputSub, True), (OutInputSub, False)} <= seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=st.integers(2, 3).flatmap(lambda d: dags(arity=d, placeholders=False, max_ops=4)),
+       seed=st.integers(0, 2**16))
+def test_validate_holds_on_every_search_node(f, seed):
+    ds = _search_samples(f, seed)
+    assume(ds is not None)
+    _validate_every_node(ds)

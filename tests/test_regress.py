@@ -82,6 +82,22 @@ def test_nrmse_bitwise_equal_to_unconditional_penalty_formula():
             assert got.view(np.int64) == want.view(np.int64)
 
 
+def test_nrmse_when_sum_of_squares_overflows():
+    # sum(y * y) is inf here; the ratio is computed on y / max|y|
+    y = np.array([1e160, 2e160, 3e160])
+    with np.errstate(over="ignore"):
+        total = float(np.sum(y * y))
+    assert total == np.inf
+    assert nrmse(y, 0.5 * y) == pytest.approx(0.5, rel=1e-12)
+    assert nrmse(y, 0 * y) == 1.0
+    assert nrmse(y, y * (1 + 1e-12)) == pytest.approx(1e-12, rel=1e-3)
+    # one non-finite row of three costs penalty^2 * mean(y^2)
+    assert nrmse(y, np.array([1e160, np.nan, 3e160])) == pytest.approx(
+        10.0 / np.sqrt(3), rel=1e-12)
+    # the dagsearch objective shares the formula
+    assert regress._fit_error(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_nrmse_degenerate():
     with pytest.raises(DegenerateY):
         nrmse(np.zeros(3), np.ones(3))

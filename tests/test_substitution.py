@@ -57,6 +57,23 @@ def test_default_budget_candidate_dags_unchanged():
         "d7bca03f3f944049b5ea27941dcfe8442b8cdfd7fd5e2c03722104125ab5d995")
 
 
+@pytest.mark.parametrize("budget, lengths, digest", [
+    (GrammarBudget(max_intermediary_nodes=0), [6, 0, 6, 0],
+     "8f686bcf1bbe2353f7939dc10023d587a1961f68a432b4792671dd066978bf1d"),
+    (GrammarBudget(max_intermediary_nodes=1, allowed_ops=frozenset({"+", "-", "*", "/"})),
+     [78, 68, 48, 68],
+     "3711f04a4859d201a1da2b7d22468907c9e50318ae2642755c2c6699ab1d9d8e"),
+])
+def test_small_budget_candidate_dags_unchanged(budget, lengths, digest):
+    # recorded while out-input candidates had an enumeration loop of their own
+    keys = (tuple(d.key for d in input_candidate_dags(2, budget)),
+            tuple(d.key for d in input_candidate_dags(3, budget)),
+            tuple(d.key for d in outinput_candidate_dags(1, budget)),
+            tuple(d.key for d in outinput_candidate_dags(2, budget)))
+    assert [len(k) for k in keys] == lengths
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
 def test_input_candidates_include_four_classics():
     budget = GrammarBudget(max_intermediary_nodes=0,
                            allowed_ops=frozenset({"+", "-", "*", "/"}))
