@@ -9,6 +9,7 @@ tree (the root itself included, so "no reduction" is a possible answer).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
@@ -161,8 +162,33 @@ def _candidates(d: int, cfg: BeamConfig) -> Iterator[Substitution]:
         yield from gen_outinput_candidates(d, cfg.budget)
 
 
+def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
+              seq: Iterator[int]) -> Iterator[SearchNode]:
+    """The accepted children of the beam's nodes in discovery order, at most
+    CANDIDATE_CAP candidates per parent."""
+    for parent in beam:
+        if parent.dataset.d <= 1:
+            continue
+        try:
+            parent_ranks = compute_ranks(parent.dataset.y)
+        except ValueError:
+            continue
+        nn_maps: dict = {}
+        for sub in itertools.islice(_candidates(parent.dataset.d, cfg), CANDIDATE_CAP):
+            scored = score_candidate(parent, sub, cfg.measure, parent_ranks, nn_maps)
+            if scored is not None:
+                ds, score = scored
+                yield SearchNode(dataset=ds, score=score, parent=parent,
+                                 edge=sub, depth=depth, seq=next(seq))
+
+
 def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
-    """Run the beam search; deterministic for identical inputs."""
+    """Run the beam search; deterministic for identical inputs.
+
+    Each level keeps the `beam_size` best children by (-score, n_vars,
+    seq), and while a level is scored no more than `beam_size` + 1 of its
+    children are held.
+    """
     if root_ds.n < MIN_ROOT_ROWS:
         raise ValueError(f"need at least {MIN_ROOT_ROWS} rows, got {root_ds.n}")
     try:
@@ -170,47 +196,19 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     except DegenerateY:
         root_score = DependenceScore(float("-inf"), cfg.measure)
     root = SearchNode(dataset=root_ds, score=root_score)
-    max_depth = max(root_ds.d - 1, 0)
 
     levels: list[list[SearchNode]] = []
     beam = [root]
-    best = root
     seq = itertools.count(1)
-    depth = 0
-    while beam and depth < max_depth:
-        children: list[SearchNode] = []
-        for parent in beam:
-            if parent.dataset.d <= 1:
-                continue
-            try:
-                parent_ranks = compute_ranks(parent.dataset.y)
-            except ValueError:
-                continue
-            n_cand = 0
-            nn_maps: dict = {}
-            for sub in _candidates(parent.dataset.d, cfg):
-                if n_cand >= CANDIDATE_CAP:
-                    break
-                n_cand += 1
-                scored = score_candidate(parent, sub, cfg.measure, parent_ranks, nn_maps)
-                if scored is None:
-                    continue
-                ds, score = scored
-                children.append(
-                    SearchNode(dataset=ds, score=score, parent=parent,
-                               edge=sub, depth=depth + 1, seq=next(seq))
-                )
-        if not children:
+    for depth in range(1, max(root_ds.d - 1, 0) + 1):
+        beam = heapq.nsmallest(cfg.beam_size, _children(beam, cfg, depth, seq),
+                               key=lambda node: (-node.score.value, node.n_vars, node.seq))
+        if not beam:
             break
-        children.sort(key=lambda node: (-node.score.value, node.n_vars, node.seq))
-        survivors = children[: cfg.beam_size]
-        levels.append(survivors)
-        for node in survivors:
-            if node.score.value > best.score.value:
-                best = node
-        beam = survivors
-        depth += 1
+        levels.append(beam)
 
+    # the first node with the highest score, root first, then level by level
+    best = max(itertools.chain([root], *levels), key=lambda node: node.score.value)
     path: list[SearchNode] = []
     node: SearchNode | None = best
     while node is not None:

@@ -44,7 +44,6 @@ class Problem:
     id: str
     d: int
     f_true: ExprDag
-    samples: Dataset | None = None
     # optional fixed sampling box, one (lo, hi) per variable; None selects
     # the interval-growing sampler
     box: tuple[tuple[float, float], ...] | None = None
@@ -291,7 +290,7 @@ def run_problem(p: Problem, cfg: BeamConfig, spec: RegressorSpec,
     t0 = time.monotonic()
     row: dict = {"id": p.id, "d": p.d, "status": "ok", "error": ""}
     try:
-        ds = p.samples if p.samples is not None else sample_problem(p, n_samples, seed)
+        ds = sample_problem(p, n_samples, seed)
         y_noisy = add_noise(ds.y, noise.gamma, seed + 1)
         full = Dataset.from_arrays(ds.X, y_noisy)
         mask = holdout_mask(full.n, holdout_fraction, seed + 2)

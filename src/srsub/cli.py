@@ -30,7 +30,7 @@ from .bench import (
 from .errors import SrsubError, UnsupportedExpression
 from .exprtext import parse, to_text
 from .grammar import GrammarBudget
-from .regress import RegressorSpec, holdout_mask, solve_pipeline
+from .regress import RegressorSpec, holdout_mask, solve_pipeline, write_csv
 from .simplify import complexity
 from .substitution import Dataset, InputSub, OutInputSub, verify_substitution
 
@@ -40,19 +40,22 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_search(p: argparse.ArgumentParser) -> None:
+    """The flags of reduce, solve and bench: seed, noise and the search."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", choices=["xi", "codec", "kmac", "volume"], default="codec")
     p.add_argument("--beam-size", type=int, default=1)
     p.add_argument("--sub-types", choices=["input", "outinput", "both"], default="both")
     p.add_argument("--max-intermediary", type=int, default=1)
     p.add_argument("--grammar", choices=["dag", "aifeynman"], default="dag")
+    p.add_argument("--noise", type=float, default=0.0)
+
+
+def _add_fit(p: argparse.ArgumentParser) -> None:
+    """The flags of solve and bench: the regressor and its test rows."""
     p.add_argument("--regressor", default="poly",
                    help="poly | dagsearch | external:<command with {csv}>")
-    p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--holdout", type=float, default=0.2)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--out", default=None)
 
 
 def _beam_config(args: argparse.Namespace) -> BeamConfig:
@@ -120,9 +123,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             fh.write(json.dumps(rec) + "\n")
     for i, node in enumerate(result.best_path):
         nds = node.dataset
-        header = ",".join([f"x{j + 1}" for j in range(nds.d)] + ["y"])
-        np.savetxt(out / f"node_{i}.csv", np.column_stack([nds.X, nds.y]),
-                   delimiter=",", header=header, comments="")
+        write_csv(out / f"node_{i}.csv", nds.X, nds.y)
         names = {nds.d_original: "y"}
         with open(out / f"node_{i}.maps.txt", "w") as fh:
             for j, vm in enumerate(nds.var_map):
@@ -208,8 +209,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     ds = sample_problem(problem, args.n, args.seed)
     y = add_noise(ds.y, args.noise, args.seed + 1)
     out = args.out or "sample.csv"
-    header = ",".join([f"x{j + 1}" for j in range(ds.d)] + ["y"])
-    np.savetxt(out, np.column_stack([ds.X, y]), delimiter=",", header=header, comments="")
+    write_csv(out, ds.X, y)
     _emit({"command": "sample", "rows": ds.n, "out": out})
     return EXIT_OK
 
@@ -223,17 +223,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="search substitutions and write reduced datasets")
     p.add_argument("csv")
-    _add_common(p)
+    _add_search(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("solve", help="reduce, fit a regressor, reconstruct an expression")
     p.add_argument("csv")
-    _add_common(p)
+    _add_search(p)
+    _add_fit(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("bench", help="run the benchmark harness over a corpus")
     p.add_argument("corpus", help="path or bundled name (feynman-desk, eponymous-desk)")
-    _add_common(p)
+    _add_search(p)
+    _add_fit(p)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--out", default=None)
     p.add_argument("--n", type=int, default=1000, help="sample size per problem")
     p.add_argument("--rates-only", action="store_true",
                    help="skip regressor fits; report reduction rates only")

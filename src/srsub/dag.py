@@ -50,11 +50,6 @@ def _guarded_log(c):
     return np.log(np.where(c > 0, c, np.nan))
 
 
-def _guarded_inv(c):
-    nonzero = c != 0
-    return np.where(nonzero, 1.0 / np.where(nonzero, c, 1.0), np.inf)
-
-
 def _guarded_div(l, r):
     nonzero = r != 0
     return np.where(nonzero, l / np.where(nonzero, r, 1.0), np.nan)
@@ -77,7 +72,8 @@ OPS: dict[str, Op] = {
     "sin": _function("sin", np.sin, sp.sin, math.sin, None),
     "cos": _function("cos", np.cos, sp.cos, math.cos, None),
     "neg": Op(1, operator.neg, operator.neg, "-({0})", 0, operator.neg, "neg"),
-    "inv": Op(1, _guarded_inv, lambda c: 1 / c, "1/({0})", 2, lambda v: 1.0 / v, "inv"),
+    "inv": Op(1, lambda c: _guarded_div(1.0, c), lambda c: 1 / c, "1/({0})", 2,
+              lambda v: 1.0 / v, "inv"),
     # printed as an explicit product to stay within + - * /
     "square": Op(1, _square, lambda c: c ** 2, "(({0})*({0}))", 9, _square, "sqrt"),
 }
@@ -298,12 +294,6 @@ class ExprDag:
     def op_count(self) -> int:
         return sum(1 for n in self.nodes if isinstance(n, (Unary, Binary)))
 
-    def tree_size(self) -> int:
-        """Node count of the unrolled expression tree (shared nodes counted
-        once per occurrence)."""
-        counts = _per_occurrence(self.nodes, lambda node: 1)
-        return counts[self.root]
-
     def var_tree_occurrences(self, index: int) -> int:
         counts = _per_occurrence(
             self.nodes,
@@ -346,11 +336,6 @@ def _per_occurrence(nodes: tuple[Node, ...], leaf_fn) -> list[int]:
 def variable(index: int, arity: int | None = None) -> ExprDag:
     b = DagBuilder()
     return b.extract(b.var(index), arity if arity is not None else index + 1)
-
-
-def constant(value: float, arity: int = 0) -> ExprDag:
-    b = DagBuilder()
-    return b.extract(b.const(value), arity)
 
 
 def compose(dag: ExprDag, replacements: Sequence[ExprDag], arity: int) -> ExprDag:
@@ -514,17 +499,20 @@ def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
     return solution
 
 
+_CHECK_POINTS = 100
+_CHECK_TOL = 1e-9
+
+
 def _check_solution(lhs: ExprDag, rhs: ExprDag, target: int, solution: ExprDag,
-                    constraints: list[ExprDag], rng: np.random.Generator | None,
-                    n_points: int = 100, tol: float = 1e-9) -> None:
+                    constraints: list[ExprDag], rng: np.random.Generator | None) -> None:
     rng = rng if rng is not None else np.random.default_rng(0)
     arity = max(lhs.arity, rhs.arity)
     passed = 0
     attempts = 0
     c = 1.0
-    while passed < n_points and attempts < 40:
+    while passed < _CHECK_POINTS and attempts < 40:
         attempts += 1
-        pts = rng.uniform(-c, c, size=(max(4 * n_points, 64), arity))
+        pts = rng.uniform(-c, c, size=(max(4 * _CHECK_POINTS, 64), arity))
         sol = evaluate(solution, pts)
         mask = np.isfinite(sol)
         for con in constraints:
@@ -543,7 +531,7 @@ def _check_solution(lhs: ExprDag, rhs: ExprDag, target: int, solution: ExprDag,
             continue
         resid = np.abs(lv[ok] - rv[ok])
         scale = 1.0 + np.maximum(np.abs(lv[ok]), np.abs(rv[ok]))
-        if np.any(resid > tol * scale):
+        if np.any(resid > _CHECK_TOL * scale):
             raise NotSolvable("solution failed the randomized residual check")
         passed += int(ok.sum())
         c += 0.5

@@ -17,7 +17,6 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateY
 
-_KDTREE_MAX_DIM = 16
 _CROSS_TERM_CAP = 2000
 
 
@@ -80,12 +79,12 @@ def neighbor_map(X: np.ndarray) -> NeighborMap:
 def nearest_neighbors(X: np.ndarray) -> NeighborMap:
     """1-NN map with deterministic lowest-index tie-breaking.
 
-    One column is searched exactly by sorting; up to 16 columns use a k-d
-    tree, and brute force beyond that.  A neighbor whose squared distance is
-    within relative 1e-12 (plus 1e-300) of the nearest counts as a tie.
-    Ties (exact-duplicate points included) resolve to the lowest index; rows
-    whose tie set may hold more than one point, or extend past the query
-    window, fall back to a brute-force scan.
+    One column is searched exactly by sorting, more columns with a k-d
+    tree.  A neighbor whose squared distance is within relative 1e-12 (plus
+    1e-300) of the nearest counts as a tie.  Ties (exact-duplicate points
+    included) resolve to the lowest index; rows whose tie set may hold more
+    than one point, or extend past the query window, fall back to a
+    brute-force scan.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -93,8 +92,6 @@ def nearest_neighbors(X: np.ndarray) -> NeighborMap:
         raise ValueError("need at least two rows")
     if d == 1:
         return NeighborMap(_sorted_nn_1d(X))
-    if d > _KDTREE_MAX_DIM:
-        return NeighborMap(_brute_force_nn(X))
     k = min(n, 4)
     dist, idx = cKDTree(X).query(X, k=k)
     rows = np.arange(n)
@@ -148,14 +145,6 @@ def _sorted_nn_1d(X: np.ndarray) -> np.ndarray:
     nu = np.empty(n, dtype=np.int64)
     nu[order] = order[np.where(near_left, pos - 1, np.minimum(pos + 1, n - 1))]
     for i in order[ties > 1]:
-        nu[i] = _brute_force_row(X, i)
-    return nu
-
-
-def _brute_force_nn(X: np.ndarray) -> np.ndarray:
-    n = len(X)
-    nu = np.empty(n, dtype=np.int64)
-    for i in range(n):
         nu[i] = _brute_force_row(X, i)
     return nu
 

@@ -34,7 +34,6 @@ NONFINITE_PENALTY = 10.0
 @dataclass(frozen=True)
 class RegressorSpec:
     kind: str = "poly"  # poly | dagsearch | external
-    max_degree: int = 2
     max_intermediary_nodes: int = 2
     max_skeletons: int = 10_000
     command: str | None = None
@@ -43,8 +42,6 @@ class RegressorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("poly", "dagsearch", "external"):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
-        if self.kind == "poly" and self.max_degree < 1:
-            raise ValueError("poly max_degree must be >= 1")
         if self.kind == "dagsearch" and (self.max_intermediary_nodes < 1 or self.max_skeletons < 1):
             raise ValueError("dagsearch budgets must be >= 1")
         if self.kind == "external" and not self.command:
@@ -56,15 +53,15 @@ class SolveResult:
     expr: ExprDag
     nrmse_test: float
     complexity: int
-    recovered: bool | None = None
     source_node_depth: int = 0
 
 
-def nrmse(y: np.ndarray, yhat: np.ndarray, penalty: float = NONFINITE_PENALTY) -> float:
+def nrmse(y: np.ndarray, yhat: np.ndarray) -> float:
     """Root-mean-square error normalized by the root-mean-square of y.
 
     Rows with non-finite predictions (or non-finite squared error) contribute
-    penalty^2 * mean(y^2) each, so diverging models stay on a finite scale.
+    NONFINITE_PENALTY^2 * mean(y^2) each, so diverging models stay on a
+    finite scale.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
@@ -72,11 +69,10 @@ def nrmse(y: np.ndarray, yhat: np.ndarray, penalty: float = NONFINITE_PENALTY) -
         total = float(np.sum(y * y))
     if total == 0.0:
         raise DegenerateY("zero output norm")
-    return _nrmse(y, yhat, total, penalty)
+    return _nrmse(y, yhat, total)
 
 
-def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float,
-           penalty: float = NONFINITE_PENALTY) -> float:
+def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float) -> float:
     """`nrmse` of flat float arrays given total = sum(y * y), which is not 0."""
     if not math.isfinite(total):
         # sum(y * y) overflowed; the ratio does not depend on the scale of y
@@ -87,7 +83,7 @@ def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float,
         sq = (y - yhat) ** 2
     finite = np.isfinite(sq)
     if not finite.all():
-        sq = np.where(finite, sq, penalty * penalty * total / len(y))
+        sq = np.where(finite, sq, NONFINITE_PENALTY * NONFINITE_PENALTY * total / len(y))
     return float(np.sqrt(np.sum(sq) / total))
 
 
@@ -273,7 +269,7 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
 # -- external bridge -------------------------------------------------------------
 
 
-def write_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
+def write_csv(path: str | os.PathLike, X: np.ndarray, y: np.ndarray) -> None:
     d = X.shape[1]
     header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
     data = np.column_stack([X, y])
@@ -312,7 +308,7 @@ def fit_external(ds: Dataset, spec: RegressorSpec) -> ExprDag:
 
 def fit(ds: Dataset, spec: RegressorSpec) -> ExprDag:
     if spec.kind == "poly":
-        return fit_poly(ds, spec.max_degree)
+        return fit_poly(ds)
     if spec.kind == "dagsearch":
         budget = GrammarBudget(max_intermediary_nodes=spec.max_intermediary_nodes,
                                allow_constants=True)

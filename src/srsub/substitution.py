@@ -27,6 +27,7 @@ from .simplify import simplify
 MAX_ROW_DROP_FRACTION = 0.2
 NEAR_CONSTANT_REL_STD = 1e-10
 CANDIDATE_CAP = 50_000
+_VALIDATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,16 +129,16 @@ class Dataset:
             origin_rows=self.origin_rows[mask],
         )
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check that re-evaluating the maps on the original rows reproduces
         the current columns."""
         base = np.column_stack([self.origin_X, self.origin_y])
         for i, vm in enumerate(self.var_map):
             got = evaluate(vm, self.origin_X)
-            if not np.allclose(got, self.X[:, i], rtol=tol, atol=tol):
+            if not np.allclose(got, self.X[:, i], rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
                 raise AssertionError(f"var_map[{i}] does not reproduce column {i}")
         got = evaluate(self.y_map, base)
-        if not np.allclose(got, self.y, rtol=tol, atol=tol):
+        if not np.allclose(got, self.y, rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
             raise AssertionError("y_map does not reproduce the output column")
 
 
@@ -346,34 +347,6 @@ def _fresh_gamma() -> sp.Symbol:
     return sp.Symbol(f"g_{next(_gamma_counter)}", real=True)
 
 
-def _numeric_depends_sympy(expr: sp.Expr, symbols: Sequence[sp.Symbol],
-                           targets: Sequence[int],
-                           rng: np.random.Generator) -> bool | None:
-    try:
-        fn = symbolic.lambdify_fn(expr, symbols)
-    except ValueError:
-        return None
-    return symbolic.numeric_depends(fn, len(symbols), targets, rng)
-
-
-def _independent_of(expr: sp.Expr, symbols: Sequence[sp.Symbol],
-                    targets: Sequence[int], rng: np.random.Generator
-                    ) -> sp.Expr | None:
-    """The target-free rewrite of `expr` when it does not depend on the
-    target columns, None when it does; Inconclusive when the symbolic and
-    numeric views disagree."""
-    target_syms = [symbols[t] for t in targets]
-    cleaned = symbolic.eliminated_form(expr, target_syms)
-    num_dep = _numeric_depends_sympy(expr, symbols, list(targets), rng)
-    if num_dep is None:
-        if cleaned is not None:
-            return cleaned
-        raise Inconclusive("no numeric evidence for the dependence check")
-    if (cleaned is None) != bool(num_dep):
-        raise Inconclusive("symbolic and numeric dependence checks disagree")
-    return cleaned
-
-
 def reduce_truth_input(truth: sp.Expr, symbols: Sequence[sp.Symbol],
                        sub: InputSub, rng: np.random.Generator | None = None
                        ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
@@ -384,7 +357,6 @@ def reduce_truth_input(truth: sp.Expr, symbols: Sequence[sp.Symbol],
     Returns (valid, reduced formula, reduced symbol list); the reduced
     problem's first column corresponds to the fresh symbol.
     """
-    rng = rng if rng is not None else np.random.default_rng(symbolic.DEFAULT_SEED)
     size = len(sub.I)
     gamma = _fresh_gamma()
     gamma_slot = variable(size, size + 1)
@@ -400,15 +372,9 @@ def reduce_truth_input(truth: sp.Expr, symbols: Sequence[sp.Symbol],
     local_exprs = [symbols[i] for i in sub.I] + [gamma]
     xi_expr = symbolic.to_sympy(solved, subs=local_exprs)
     substituted = truth.subs(symbols[sub.I[pos]], xi_expr)
-    try:
-        cleaned = _independent_of(substituted, list(symbols) + [gamma],
-                                  list(sub.I), rng)
-    except Inconclusive:
-        return False, None, None
-    if cleaned is None:
-        return False, None, None
     keep = _retained(len(symbols), sub.I)
-    return True, cleaned, [gamma] + [symbols[j] for j in keep]
+    return _reduced(substituted, list(symbols) + [gamma], sub.I,
+                    [gamma] + [symbols[j] for j in keep], rng)
 
 
 def reduce_truth_outinput(truth: sp.Expr, symbols: Sequence[sp.Symbol],
@@ -416,17 +382,32 @@ def reduce_truth_outinput(truth: sp.Expr, symbols: Sequence[sp.Symbol],
                           ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
     """Check an out-input substitution: h(x_I, f(x)) must be independent of
     x_I; the simplified result is the reduced problem's formula."""
-    rng = rng if rng is not None else np.random.default_rng(symbolic.DEFAULT_SEED)
     local_exprs = [symbols[i] for i in sub.I] + [truth]
     transformed = symbolic.to_sympy(sub.h, subs=local_exprs)
-    try:
-        cleaned = _independent_of(transformed, list(symbols), list(sub.I), rng)
-    except Inconclusive:
-        return False, None, None
-    if cleaned is None:
-        return False, None, None
     keep = _retained(len(symbols), sub.I)
-    return True, cleaned, [symbols[j] for j in keep]
+    return _reduced(transformed, list(symbols), sub.I, [symbols[j] for j in keep], rng)
+
+
+def _reduced(expr: sp.Expr, symbols: list[sp.Symbol], targets: Sequence[int],
+             reduced_symbols: list[sp.Symbol], rng: np.random.Generator | None
+             ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
+    """(True, the target-free rewrite of `expr`, `reduced_symbols`) when
+    `expr` does not depend on the target columns; (False, None, None) when
+    it does or when the CAS and the numeric probe disagree."""
+    rng = rng if rng is not None else np.random.default_rng(symbolic.DEFAULT_SEED)
+    cleaned = symbolic.eliminated_form(expr, [symbols[t] for t in targets])
+    try:
+        fn = symbolic.lambdify_fn(expr, symbols)
+    except ValueError:
+        num_dep = None
+    else:
+        num_dep = symbolic.numeric_depends(fn, len(symbols), targets, rng)
+    try:
+        if not symbolic._agreed(cleaned is None, num_dep):
+            return True, cleaned, reduced_symbols
+    except Inconclusive:
+        pass
+    return False, None, None
 
 
 def reduce_truth(truth: sp.Expr, symbols: Sequence[sp.Symbol], sub: Substitution,

@@ -21,7 +21,9 @@ from .errors import Inconclusive
 from .simplify import simplify
 
 DEFAULT_SEED = 17
+_NUMERIC_DEP_TRIALS = 100
 _NUMERIC_DEP_TOL = 1e-9
+_CONST_POINTS = 100
 _CONST_TOL = 1e-6
 _SIMPLIFY_SIZE_CAP = 300
 
@@ -110,20 +112,6 @@ def eliminated_form(expr: sp.Expr, targets: Sequence[sp.Symbol]) -> sp.Expr | No
     return None
 
 
-def symbolic_depends(expr: sp.Expr, targets: Sequence[sp.Symbol]) -> bool:
-    """True when no rewrite of `expr` eliminates every target symbol."""
-    return eliminated_form(expr, targets) is None
-
-
-def resolve_constant(expr: sp.Expr) -> sp.Expr | None:
-    """Return a constant form of `expr` if some rewrite eliminates all
-    symbols, else None."""
-    for form in _escalate(expr):
-        if not form.free_symbols:
-            return form
-    return None
-
-
 # -- randomized numeric checks ------------------------------------------------
 
 
@@ -151,15 +139,14 @@ def sample_valid_points(fn: Callable[[np.ndarray], np.ndarray], arity: int,
 
 
 def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
-                    targets: Sequence[int], rng: np.random.Generator,
-                    trials: int = 100, tol: float = _NUMERIC_DEP_TOL) -> bool | None:
+                    targets: Sequence[int], rng: np.random.Generator) -> bool | None:
     """Perturb the target coordinates at valid base points; None when too few
     valid comparisons could be made."""
     targets = list(targets)
     compared = 0
     c = 1.0
-    while compared < trials and c <= 60.0:
-        base = sample_valid_points(fn, arity, trials, rng, max_grow=c)
+    while compared < _NUMERIC_DEP_TRIALS and c <= 60.0:
+        base = sample_valid_points(fn, arity, _NUMERIC_DEP_TRIALS, rng, max_grow=c)
         if len(base):
             pert = base.copy()
             pert[:, targets] = rng.uniform(-c, c, size=(len(base), len(targets)))
@@ -169,7 +156,7 @@ def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
             ok = np.isfinite(v0) & np.isfinite(v1)
             if ok.any():
                 diff = np.abs(v0[ok] - v1[ok])
-                if np.any(diff > tol * (1.0 + np.abs(v0[ok]))):
+                if np.any(diff > _NUMERIC_DEP_TOL * (1.0 + np.abs(v0[ok]))):
                     return True
                 compared += int(ok.sum())
         c += 2.0
@@ -179,9 +166,8 @@ def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
 
 
 def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int,
-                     rng: np.random.Generator, n_points: int = 100,
-                     tol: float = _CONST_TOL) -> bool | None:
-    pts = sample_valid_points(fn, arity, n_points, rng)
+                     rng: np.random.Generator) -> bool | None:
+    pts = sample_valid_points(fn, arity, _CONST_POINTS, rng)
     if len(pts) < 10:
         return None
     with np.errstate(all="ignore"):
@@ -190,7 +176,7 @@ def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int,
     if len(vals) < 10:
         return None
     spread = float(np.max(vals) - np.min(vals))
-    return spread <= tol * (1.0 + float(np.max(np.abs(vals))))
+    return spread <= _CONST_TOL * (1.0 + float(np.max(np.abs(vals))))
 
 
 def _dag_fn(dag: ExprDag) -> Callable[[np.ndarray], np.ndarray]:
@@ -231,11 +217,18 @@ def depends_on(dag: ExprDag, variables: Iterable[int],
     rng = rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
     targets = tuple(sorted(set(variables)))
     sym_dep = _symbolic_dependence(simplify(dag), targets)
-    num_dep = numeric_depends(_dag_fn(dag), dag.arity, targets, rng)
+    return _agreed(sym_dep, numeric_depends(_dag_fn(dag), dag.arity, targets, rng))
+
+
+def _agreed(sym_dep: bool, num_dep: bool | None) -> bool:
+    """The dependence verdict when the CAS verdict `sym_dep` and the numeric
+    probe's `num_dep` agree.  The probe may have no evidence (None); a CAS
+    verdict of independence then stands, one of dependence does not.
+    Raises Inconclusive otherwise."""
     if num_dep is None:
-        if not sym_dep:
-            return False
-        raise Inconclusive("no valid sample points for the numeric dependence check")
+        if sym_dep:
+            raise Inconclusive("no numeric evidence for the dependence check")
+        return False
     if sym_dep != num_dep:
         raise Inconclusive(
             f"symbolic ({sym_dep}) and numeric ({num_dep}) dependence checks disagree"
@@ -253,7 +246,7 @@ def _symbolic_dependence(s: ExprDag, targets: tuple[int, ...]) -> bool:
     """
     if not (s.var_indices() & set(targets)):
         return False
-    return symbolic_depends(to_sympy(s), [_sym(i) for i in targets])
+    return eliminated_form(to_sympy(s), [_sym(i) for i in targets]) is None
 
 
 def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,
@@ -261,11 +254,10 @@ def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,
     """Symbolic constancy with mandatory numeric backing; None if not
     constant (or not backed)."""
     s = simplify(diff_dag)
-    const_form: sp.Expr | None = None
     if len(s.nodes) == 1 and isinstance(s.nodes[0], Const) and not s.nodes[0].is_placeholder:
         const_form = sp.Float(s.nodes[0].value)
     else:
-        const_form = resolve_constant(expr)
+        const_form = eliminated_form(expr, list(expr.free_symbols))
     if const_form is None:
         return None
     backed = numeric_constant(_dag_fn(diff_dag), diff_dag.arity, rng)

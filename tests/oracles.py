@@ -108,7 +108,7 @@ def _div_nodewise(l, r):
 
 
 def _inv_nodewise(c):
-    return np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.inf)
+    return np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.nan)
 
 
 _NODEWISE_NUMPY = {**{name: op.numpy for name, op in OPS.items()},
@@ -152,6 +152,47 @@ def nrmse_masked(y, yhat, penalty=10.0):
     bad = ~np.isfinite(sq)
     sq = np.where(bad, penalty * penalty * total / n, sq)
     return float(np.sqrt(np.sum(sq) / total))
+
+
+# -- beam levels by sorting every child --------------------------------------------
+
+
+def beam_levels_by_sorting(root, cfg):
+    """The survivors of every beam level below the search node `root`: every
+    child of the level is scored with `score_candidate`, all of them are
+    sorted by (-score, n_vars, discovery order), and the first `beam_size`
+    are kept."""
+    from srsub.beamsearch import SearchNode, _candidates, score_candidate
+    from srsub.depmeasure import compute_ranks
+    from srsub.substitution import CANDIDATE_CAP
+
+    levels = []
+    beam = [root]
+    seq = 0
+    for depth in range(1, max(root.dataset.d - 1, 0) + 1):
+        children = []
+        for parent in beam:
+            if parent.dataset.d <= 1:
+                continue
+            try:
+                ranks = compute_ranks(parent.dataset.y)
+            except ValueError:
+                continue
+            nn_maps = {}
+            for i, sub in enumerate(_candidates(parent.dataset.d, cfg)):
+                if i == CANDIDATE_CAP:
+                    break
+                scored = score_candidate(parent, sub, cfg.measure, ranks, nn_maps)
+                if scored is not None:
+                    seq += 1
+                    children.append(SearchNode(dataset=scored[0], score=scored[1],
+                                               parent=parent, edge=sub, depth=depth, seq=seq))
+        children.sort(key=lambda node: (-node.score.value, node.n_vars, node.seq))
+        beam = children[:cfg.beam_size]
+        if not beam:
+            break
+        levels.append(beam)
+    return levels
 
 
 # -- exhaustive tree enumeration oracle ------------------------------------------

@@ -18,6 +18,7 @@ from srsub.beamsearch import SearchNode, _score_dataset, score_candidate, trace_
 from srsub.bench import Problem
 from srsub.depmeasure import compute_ranks
 
+from oracles import beam_levels_by_sorting
 from testdata import WASHBURN, positive_washburn_dataset
 
 
@@ -332,3 +333,36 @@ def test_shared_neighbor_map_keyed_by_surviving_rows():
     assert len(nn_maps) == 2
     assert score_a.value == codec(a.X, a.y).value
     assert score_b.value == codec(b.X, b.y).value
+
+
+def _level_records(levels):
+    return [[(node.seq, node.parent.seq, node.edge, node.score.value, node.n_vars)
+             for node in level] for level in levels]
+
+
+def _tied_columns_dataset():
+    # x4 repeats x3, so substitutions on (i, 3) and (i, 4) score alike and
+    # the tie goes to the child found first
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.5, 2.0, size=(200, 3))
+    X = np.column_stack([X, X[:, 2]])
+    return Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2] * X[:, 3])
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 3, 4])
+@pytest.mark.parametrize("which", ["sampled", "tied"])
+def test_survivors_equal_sorting_every_child(beam_size, which):
+    if which == "sampled":
+        ds = sample_problem(Problem(id="m", d=4, f_true=parse("x1*x2+x3*x4")), 200, seed=1)
+    else:
+        ds = _tied_columns_dataset()
+    cfg = BeamConfig(beam_size=beam_size, budget=GrammarBudget(max_intermediary_nodes=0))
+    result = search(ds, cfg)
+    want = beam_levels_by_sorting(result.root, cfg)
+    assert _level_records(result.all_levels) == _level_records(want)
+    # the best node is the first with the top score, root first
+    nodes = [result.root] + [node for level in want for node in level]
+    top = max(node.score.value for node in nodes)
+    first = next(node for node in nodes if node.score.value == top)
+    assert result.best.seq == first.seq
+    assert [node.seq for node in result.best_path][-1] == first.seq

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from srsub.cli import main
 
@@ -135,6 +136,18 @@ def test_sample_command_writes_csv(tmp_path, capsys):
 def test_unknown_regressor_is_usage_error(tmp_path):
     csv = _write_csv(tmp_path / "u.csv", "x1+x2")
     assert main(["solve", str(csv), "--regressor", "wizard"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--regressor", "poly"],
+    ["reduce", "--holdout", "0.3"],
+    ["reduce", "--threads", "2"],
+    ["solve", "--threads", "2"],
+    ["solve", "--out", "x.csv"],
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, args):
+    csv = _write_csv(tmp_path / "f.csv", "x1+x2")
+    assert main([args[0], str(csv), *args[1:]]) == 1
 
 
 def test_seed_determinism_of_solve(tmp_path, capsys):

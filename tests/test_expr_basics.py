@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srsub import GrammarBudget, RegressorSpec, evaluate, parse, solve_for, to_text
-from srsub.dag import invertible_path
+from srsub.dag import DagBuilder, bind_placeholders, invertible_path
 from srsub.errors import NotSolvable
 from srsub.regress import _skeletons
 from srsub.simplify import simplify
@@ -40,6 +40,18 @@ def test_eval_division_by_zero():
     out = evaluate(dag, np.array([[1.0, 0.0], [4.0, 2.0]]))
     assert not np.isfinite(out[0])
     assert out[1] == pytest.approx(2.0)
+
+
+def test_inv_and_division_agree_at_zero():
+    # binding c0 = 1 turns c0/x1 into inv(x1); both give nan at x1 = 0
+    b = DagBuilder()
+    dag = b.extract(b.unary("exp", b.unary("neg", b.binary("/", b.param("c0"), b.var(0)))), 1)
+    X = np.array([[0.0], [2.0]])
+    bound = bind_placeholders(dag, {"c0": 1.0})
+    assert "inv" in bound.key
+    got, want = evaluate(bound, X), evaluate(dag, X, {"c0": 1.0})
+    assert np.isnan(got[0]) and np.isnan(want[0])
+    assert got[1] == want[1] == np.exp(-0.5)
 
 
 def test_eval_never_raises_on_bad_rows():

@@ -50,6 +50,23 @@ def test_depends_on_memoized_verdict_keeps_rng_stream():
     np.testing.assert_array_equal(streams[0], streams[1])
 
 
+@pytest.mark.parametrize("sym_dep, num_dep, want", [
+    (False, False, False),
+    (True, True, True),
+    # without numeric evidence a CAS verdict of independence stands
+    (False, None, False),
+    (True, None, Inconclusive),
+    (True, False, Inconclusive),
+    (False, True, Inconclusive),
+])
+def test_cas_and_probe_verdict_rule(sym_dep, num_dep, want):
+    if want is Inconclusive:
+        with pytest.raises(Inconclusive):
+            symbolic._agreed(sym_dep, num_dep)
+    else:
+        assert symbolic._agreed(sym_dep, num_dep) is want
+
+
 def test_equivalent_commutativity():
     assert equivalent(parse("x1*x2+x3"), parse("x3+x2*x1"))
 
