@@ -270,7 +270,7 @@ _AGGREGATE_FIELDS = (
 
 
 def _arm_metrics(result: SearchResult, spec: RegressorSpec, p: Problem,
-                 holdout: tuple[np.ndarray, np.ndarray]) -> dict:
+                 holdout: Dataset) -> dict:
     sol = solve_pipeline(result, spec, holdout=holdout)
     rec = recovery(p.f_true, sol.expr)
     return {
@@ -294,10 +294,9 @@ def run_problem(p: Problem, cfg: BeamConfig, spec: RegressorSpec,
         y_noisy = add_noise(ds.y, noise.gamma, seed + 1)
         full = Dataset.from_arrays(ds.X, y_noisy)
         mask = holdout_mask(full.n, holdout_fraction, seed + 2)
-        train = full.restrict_rows(~mask)
-        holdout = (full.origin_X[mask], full.origin_y[mask])
+        holdout = full.restrict_rows(mask)
 
-        result = search(train, cfg)
+        result = search(full.restrict_rows(~mask), cfg)
         row.update(chain_stats(result, p))
         traces = [dict(rec, id=p.id) for rec in trace_records(result)]
 

@@ -27,7 +27,7 @@ from .bench import (
     run_benchmark,
     sample_problem,
 )
-from .errors import SrsubError, UnsupportedExpression
+from .errors import SrsubError
 from .exprtext import parse, to_text
 from .grammar import GrammarBudget
 from .regress import RegressorSpec, holdout_mask, solve_pipeline, write_csv
@@ -148,9 +148,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.noise > 0:
         ds = Dataset.from_arrays(ds.X, add_noise(ds.y, args.noise, args.seed))
     mask = holdout_mask(ds.n, args.holdout, args.seed)
-    train = ds.restrict_rows(~mask)
-    result = search(train, cfg)
-    sol = solve_pipeline(result, spec, holdout=(ds.origin_X[mask], ds.origin_y[mask]))
+    result = search(ds.restrict_rows(~mask), cfg)
+    sol = solve_pipeline(result, spec, ds.restrict_rows(mask))
     _emit({
         "command": "solve",
         "expression": to_text(sol.expr),
@@ -275,10 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_DataError, UnsupportedExpression, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SrsubError as exc:
+    except (_DataError, SrsubError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 import sympy as sp
@@ -255,11 +255,9 @@ class ExprDag:
     nodes: tuple[Node, ...]
     root: int
     arity: int
-    key: str = field(default="", compare=False)
+    key: str = field(compare=False)
 
     def __post_init__(self) -> None:
-        if not self.key:
-            object.__setattr__(self, "key", _structural_key(self.nodes, self.root))
         for node in self.nodes:
             if isinstance(node, Var) and not 0 <= node.index < self.arity:
                 raise ValueError(
@@ -295,38 +293,20 @@ class ExprDag:
         return sum(1 for n in self.nodes if isinstance(n, (Unary, Binary)))
 
     def var_tree_occurrences(self, index: int) -> int:
-        counts = _per_occurrence(
-            self.nodes,
-            lambda node: 1 if isinstance(node, Var) and node.index == index else 0,
-        )
-        return counts[self.root]
+        return _occurrences(self.nodes, index)[self.root]
 
 
-def _structural_key(nodes: tuple[Node, ...], root: int) -> str:
-    keys: list[str] = []
-    for node in nodes:
-        if isinstance(node, Var):
-            keys.append(f"V{node.index:03d}")
-        elif isinstance(node, Const):
-            keys.append(f"P{node.name}" if node.is_placeholder else f"C{_const_repr(node.value)}")
-        elif isinstance(node, Unary):
-            keys.append(f"({node.op} {keys[node.child]})")
-        else:
-            keys.append(f"({node.op} {keys[node.left]} {keys[node.right]})")
-    return keys[root]
-
-
-def _per_occurrence(nodes: tuple[Node, ...], leaf_fn) -> list[int]:
-    # Per-occurrence DP: a shared node's total enters once per parent edge.
+def _occurrences(nodes: Sequence[Node], target: int) -> list[int]:
+    """Per node, the occurrences of Var(target) in its expanded tree: a
+    shared node's count enters once per parent edge."""
     counts: list[int] = []
     for node in nodes:
-        own = leaf_fn(node)
         if isinstance(node, Unary):
-            counts.append(own + counts[node.child])
+            counts.append(counts[node.child])
         elif isinstance(node, Binary):
-            counts.append(own + counts[node.left] + counts[node.right])
+            counts.append(counts[node.left] + counts[node.right])
         else:
-            counts.append(own)
+            counts.append(1 if isinstance(node, Var) and node.index == target else 0)
     return counts
 
 
@@ -412,28 +392,31 @@ def evaluate(dag: ExprDag, X: np.ndarray, params: dict[str, float] | None = None
 # -- equation solving by path inversion -------------------------------------
 
 
+def _walk_to_target(nodes: Sequence[Node], counts: list[int],
+                    nid: int) -> Iterator[tuple[Unary | Binary, bool]]:
+    """The operator nodes from `nid` down to the one target occurrence below
+    it, each with whether the walk goes on into its left (or only) operand.
+
+    `counts` are the target's `_occurrences`, and counts[nid] must be 1.
+    """
+    while not isinstance(node := nodes[nid], Var):
+        if isinstance(node, Unary):
+            nid = node.child
+            yield node, True
+        else:
+            in_left = counts[node.left] > 0
+            nid = node.left if in_left else node.right
+            yield node, in_left
+
+
 def invertible_path(dag: ExprDag, target: int) -> bool:
     """True when `target` occurs exactly once and every operator on the path
     from that occurrence to the root is invertible."""
-    if dag.var_tree_occurrences(target) != 1:
-        return False
-    contains = _per_occurrence(
-        dag.nodes,
-        lambda node: 1 if isinstance(node, Var) and node.index == target else 0,
+    counts = _occurrences(dag.nodes, target)
+    return counts[dag.root] == 1 and all(
+        OPS[node.op].inverse is not None
+        for node, _ in _walk_to_target(dag.nodes, counts, dag.root)
     )
-    nid = dag.root
-    while True:
-        node = dag.nodes[nid]
-        if isinstance(node, Var):
-            return node.index == target
-        if isinstance(node, Const):
-            return False
-        if OPS[node.op].inverse is None:
-            return False
-        if isinstance(node, Unary):
-            nid = node.child
-        else:
-            nid = node.left if contains[node.left] else node.right
 
 
 def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
@@ -446,34 +429,17 @@ def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
     and square on its non-negative branch).  Raises NotSolvable otherwise.
     """
     arity = max(lhs.arity, rhs.arity)
-    occ_l = lhs.var_tree_occurrences(target)
-    occ_r = rhs.var_tree_occurrences(target)
-    if occ_l + occ_r != 1:
-        raise NotSolvable(f"target x{target + 1} occurs {occ_l + occ_r} times")
-    if occ_r == 1:
-        lhs, rhs = rhs, lhs
-
     b = DagBuilder()
     side = b.copy_from(lhs)
     acc = b.copy_from(rhs)
+    counts = _occurrences(b.nodes, target)
+    if counts[side] + counts[acc] != 1:
+        raise NotSolvable(f"target x{target + 1} occurs {counts[side] + counts[acc]} times")
+    if counts[acc]:
+        side, acc = acc, side
     constraints: list[int] = []  # node ids that must be >= 0 for the branch
 
-    def contains(nid: int) -> bool:
-        node = b.nodes[nid]
-        if isinstance(node, Var):
-            return node.index == target
-        if isinstance(node, Unary):
-            return contains(node.child)
-        if isinstance(node, Binary):
-            return contains(node.left) or contains(node.right)
-        return False
-
-    while True:
-        node = b.nodes[side]
-        if isinstance(node, Var) and node.index == target:
-            break
-        if not isinstance(node, (Unary, Binary)):
-            raise NotSolvable("path ended before reaching the target variable")
+    for node, in_left in _walk_to_target(b.nodes, counts, side):
         op = OPS[node.op]
         if op.inverse is None:
             raise NotSolvable(f"operator {node.op!r} on the path is not invertible")
@@ -482,15 +448,12 @@ def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
                 constraints.append(acc)
             # square is inverted on its non-negative branch
             acc = b.unary(op.inverse, acc)
-            side = node.child
         else:
-            in_left = contains(node.left)
             other = node.right if in_left else node.left
             if in_left or op.commutative:
                 acc = b.binary(op.inverse, acc, other)
             else:
                 acc = b.binary(node.op, other, acc)
-            side = node.left if in_left else node.right
 
     solution = b.extract(acc, arity)
     if check:

@@ -228,8 +228,6 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
         raise ValueError("need at least 20 rows")
     if budget is None:
         budget = GrammarBudget(max_intermediary_nodes=2, allow_constants=True)
-    elif not budget.allow_constants:
-        budget = GrammarBudget(budget.max_intermediary_nodes, budget.allowed_ops, True)
     X, y = ds.X, ds.y
     with np.errstate(over="ignore"):
         total = float(np.sum(y * y))
@@ -330,39 +328,25 @@ def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
     return mask
 
 
-def solve_pipeline(result: SearchResult, spec: RegressorSpec,
-                   holdout_fraction: float = 0.2, seed: int = 0,
-                   holdout: tuple[np.ndarray, np.ndarray] | None = None) -> SolveResult:
+def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) -> SolveResult:
     """Fit the regressor at every node on the best path, reconstruct each
     solution to the original coordinates, and keep the minimum test NRMSE.
 
-    `holdout` supplies original-coordinate test data (X0, y0); without it a
-    seed-deterministic fraction of the root rows is held out and the node
-    fits use the remaining rows.
+    `holdout` holds the test rows of the problem's sample, as
+    `restrict_rows` of the full or root dataset; its original coordinates
+    are the test data.  Each node is fitted on its rows minus the holdout
+    rows, so no fit sees a test row; a node left with fewer than 3 rows is
+    skipped.
     """
-    root_ds = result.root.dataset
-    if holdout is None:
-        mask = holdout_mask(root_ds.n, holdout_fraction, seed)
-        X_test = root_ds.origin_X[mask]
-        y_test = root_ds.origin_y[mask]
-        test_rows = set(root_ds.origin_rows[mask].tolist())
-    else:
-        X_test, y_test = holdout
-        test_rows = None
-
     best: SolveResult | None = None
     for i, node in enumerate(result.best_path):
-        ds = node.dataset
-        if test_rows is not None:
-            train = np.array([r not in test_rows for r in ds.origin_rows])
-            if train.sum() < 3:
-                continue
-            ds = ds.restrict_rows(train)
+        train = ~np.isin(node.dataset.origin_rows, holdout.origin_rows)
+        if train.sum() < 3:
+            continue
         try:
-            sol = fit(ds, spec)
+            sol = fit(node.dataset.restrict_rows(train), spec)
             expr = reconstruct(result.best_path[:i + 1], sol)
-            pred = evaluate(expr, X_test)
-            err = nrmse(y_test, pred)
+            err = nrmse(holdout.origin_y, evaluate(expr, holdout.origin_X))
         except (NotSolvable, DegenerateY, ExternalFailure, ValueError):
             continue
         if best is None or err < best.nrmse_test:

@@ -33,6 +33,7 @@ from srsub import (
 )
 from srsub.beamsearch import SearchNode, SearchResult, _score_dataset, score_candidate
 from srsub.depmeasure import compute_ranks
+from srsub.regress import holdout_mask
 
 WASHBURN = "sqrt(x1*x2*x3*cos(x4)/(2*x5))"
 
@@ -112,7 +113,7 @@ def test_criterion_04_washburn_end_to_end():
     result = search(ds, BeamConfig(beam_size=1, measure="codec"))
     rate, all_valid = reduction_rate(result, p)
     sol = solve_pipeline(result, RegressorSpec(kind="dagsearch"),
-                         holdout_fraction=0.2, seed=4)
+                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=4)))
     recovered = recovery(p.f_true, sol.expr)
     elapsed = time.monotonic() - t0
     ok = rate == pytest.approx(0.8) and all_valid and recovered and elapsed < 120
@@ -189,7 +190,7 @@ def test_criterion_10_external_bridge_roundtrip(tmp_path):
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
     result = SearchResult(best_path=[root], all_levels=[])
     spec = RegressorSpec(kind="external", command=f"{sys.executable} {stub} {{csv}}")
-    sol = solve_pipeline(result, spec, holdout_fraction=0.2, seed=5)
+    sol = solve_pipeline(result, spec, ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=5)))
     recovered = recovery(f, sol.expr)
     ok = recovered and sol.nrmse_test < 1e-9
     _report(10, ok, f"stub recovery {recovered}, NRMSE {sol.nrmse_test:.2e} < 1e-9 "

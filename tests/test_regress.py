@@ -336,7 +336,8 @@ def test_pipeline_constant_function_resolved_at_root():
 
     root.score = DependenceScore(float("-inf"), "codec")
     result = SearchResult(best_path=[root], all_levels=[])
-    sol = solve_pipeline(result, RegressorSpec(kind="poly"), holdout_fraction=0.2, seed=1)
+    sol = solve_pipeline(result, RegressorSpec(kind="poly"),
+                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=1)))
     assert sol.source_node_depth == 0
     assert equivalent(sol.expr, parse("5", arity=2))
 
@@ -344,14 +345,41 @@ def test_pipeline_constant_function_resolved_at_root():
 def test_pipeline_beats_or_matches_root_fit():
     ds = _dataset("x1*x2*x3", n=400, seed=10)
     mask = holdout_mask(ds.n, 0.2, seed=3)
-    train = ds.restrict_rows(~mask)
-    holdout = (ds.origin_X[mask], ds.origin_y[mask])
-    result = search(train, BeamConfig())
+    holdout = ds.restrict_rows(mask)
+    result = search(ds.restrict_rows(~mask), BeamConfig())
     spec = RegressorSpec(kind="poly")
-    full = solve_pipeline(result, spec, holdout=holdout)
+    full = solve_pipeline(result, spec, holdout)
     root_only = solve_pipeline(SearchResult(best_path=[result.root], all_levels=[]),
-                               spec, holdout=holdout)
+                               spec, holdout)
     assert full.nrmse_test <= root_only.nrmse_test + 1e-12
+
+
+@pytest.mark.parametrize("split_first", [False, True])
+def test_pipeline_never_fits_on_holdout_rows(monkeypatch, split_first):
+    # split_first=False searches every row and holds out rows the search saw;
+    # split_first=True holds the test rows out before the search
+    ds = _dataset("x1*x2*x3", n=400, seed=10)
+    mask = holdout_mask(ds.n, 0.2, seed=3)
+    holdout = ds.restrict_rows(mask)
+    result = search(ds.restrict_rows(~mask) if split_first else ds, BeamConfig())
+    assert len(result.best_path) > 1
+
+    fitted = []
+    real_fit = regress.fit
+
+    def recording_fit(fit_ds, spec):
+        fitted.append(fit_ds.origin_rows.tolist())
+        return real_fit(fit_ds, spec)
+
+    monkeypatch.setattr(regress, "fit", recording_fit)
+    solve_pipeline(result, RegressorSpec(kind="poly"), holdout)
+
+    test_rows = set(holdout.origin_rows.tolist())
+    expected = [[r for r in node.dataset.origin_rows.tolist() if r not in test_rows]
+                for node in result.best_path]
+    assert fitted == expected
+    if split_first:
+        assert fitted == [node.dataset.origin_rows.tolist() for node in result.best_path]
 
 
 def test_holdout_mask_deterministic():
@@ -370,5 +398,5 @@ def test_dagsearch_root_only_cannot_recover_washburn():
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
     result = SearchResult(best_path=[root], all_levels=[])
     sol = solve_pipeline(result, RegressorSpec(kind="dagsearch", max_skeletons=3000),
-                         holdout_fraction=0.2, seed=6)
+                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=6)))
     assert not equivalent(parse(WASHBURN), sol.expr)
