@@ -3,9 +3,16 @@
 Structural canonicalization lives in `simplify`; the questions answered here
 (does an expression still depend on a variable, is a difference or ratio a
 constant) escalate through a computer-algebra backend when the cheap
-canonical form is not conclusive.  Every symbolic verdict is backed by a
-randomized numeric check on the sampling domain; when the two sides disagree
-the result is reported as Inconclusive rather than guessed.
+canonical form is not conclusive.
+
+A symbolic dependence verdict is reached in one of two ways.  An exact
+witness, two values of the expression computed from exact rational points of
+the positive orthant, proves dependence outright.  Without one, a chain of
+rewrites looks for a form free of the variables.  Every form in the chain
+equals the expression on the positive orthant, so the chain finds none
+whenever a witness exists, and the two ways agree.  Every symbolic verdict is
+then joined with a randomized numeric check on the sampling domain; when the
+two sides disagree the result is reported as Inconclusive rather than guessed.
 """
 
 from __future__ import annotations
@@ -26,6 +33,17 @@ _NUMERIC_DEP_TOL = 1e-9
 _CONST_POINTS = 100
 _CONST_TOL = 1e-6
 _SIMPLIFY_SIZE_CAP = 300
+# Per variable slot, its coordinate at the first witness point and, for a
+# target slot, at the second: exact, positive, and made of distinct primes so
+# that simple combinations of them do not coincide at the two points.
+_WITNESS_COORDS = tuple(
+    (sp.Rational(p, q), sp.Rational(r, t))
+    for p, q, r, t in ((7, 5, 13, 11), (11, 17, 23, 7), (19, 13, 5, 29),
+                       (31, 23, 37, 41), (43, 47, 17, 53), (59, 61, 67, 19))
+)
+_WITNESS_DIGITS = 30
+_WITNESS_GAP = 1e-12
+_WITNESS_ARG_CAP = 1e4
 
 _real_syms: list[sp.Symbol] = []
 _pos_syms: list[sp.Symbol] = []
@@ -236,17 +254,57 @@ def _agreed(sym_dep: bool, num_dep: bool | None) -> bool:
     return sym_dep
 
 
+def _witness(expr: sp.Expr, variables: set[int], targets: tuple[int, ...]) -> bool:
+    """Whether `expr` takes two exactly computed, clearly different real
+    values at two fixed points of the positive orthant that differ only in
+    the target coordinates.  False means no witness, not independence."""
+    if expr.has(sp.Float) or not expr.free_symbols <= {_sym(i) for i in variables}:
+        return False
+    if max(variables) >= len(_WITNESS_COORDS):
+        return False
+    values = []
+    for moved in (False, True):
+        point = {_sym(i): _WITNESS_COORDS[i][moved and i in targets] for i in variables}
+        try:
+            exact = expr.xreplace(point)
+            # evalf works to about as many extra bits as the magnitude of an
+            # argument of exp, sin or cos, so a tower like exp(exp(exp(exp(x))))
+            # would never finish; inner arguments are checked first
+            growth = sorted(exact.atoms(sp.exp, sp.sin, sp.cos), key=sp.count_ops)
+            if not all(abs(complex(f.args[0].evalf(3))) <= _WITNESS_ARG_CAP for f in growth):
+                return False
+            value = exact.evalf(_WITNESS_DIGITS)
+        except Exception:
+            return False
+        if not (isinstance(value, sp.Float) and value.is_finite):
+            return False
+        values.append(value)
+    v0, v1 = values
+    return bool(abs(v1 - v0) > _WITNESS_GAP * (1 + abs(v0)))
+
+
 @functools.lru_cache(maxsize=4096)
 def _symbolic_dependence(s: ExprDag, targets: tuple[int, ...]) -> bool:
-    """The symbolic half of `depends_on` for a simplified dag.
+    """The symbolic half of `depends_on` for a simplified dag: True unless
+    some rewrite of the expression is free of every target.
+
+    The verdict comes from an exact witness when `_witness` finds one, and
+    from the rewrite chain of `eliminated_form` otherwise.  The witness
+    points lie on the positive orthant, where every form of the chain equals
+    the expression, so the chain would answer "dependent" too; the witness
+    only skips its work.
 
     The verdict is a function of the dag's structure, which its key pins, so
     it is kept: enumerating out-input candidates asks again about every dag
     that enumerating input candidates of the same arity already asked about.
     """
-    if not (s.var_indices() & set(targets)):
+    variables = s.var_indices()
+    if not (variables & set(targets)):
         return False
-    return eliminated_form(to_sympy(s), [_sym(i) for i in targets]) is None
+    expr = to_sympy(s)
+    if _witness(expr, variables, targets):
+        return True
+    return eliminated_form(expr, [_sym(i) for i in targets]) is None
 
 
 def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,

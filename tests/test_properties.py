@@ -18,8 +18,10 @@ from srsub import (
     InputSub,
     OutInputSub,
     codec,
+    depends_on,
     search,
     simplify,
+    symbolic,
 )
 from srsub.dag import (
     BINARY_OPS,
@@ -34,6 +36,7 @@ from srsub.dag import (
     solve_for,
     variable,
 )
+from srsub.errors import Inconclusive
 from srsub.exprtext import parse, to_text
 
 from oracles import evaluate_nodewise
@@ -317,3 +320,52 @@ def test_validate_holds_on_every_search_node(f, seed):
     ds = _search_samples(f, seed)
     assume(ds is not None)
     _validate_every_node(ds)
+
+
+# -- exact dependence witness ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dag=dags(placeholders=False), targets=st.sets(st.integers(0, 2), min_size=1))
+def test_dependence_witness_implies_no_eliminated_form(dag, targets):
+    # a witness skips the rewrite chain only where the chain would find no
+    # form free of the targets either
+    assume(dag.var_indices())
+    try:
+        expr = symbolic.to_sympy(dag)
+    except OverflowError:  # sympy folds exp(exp(1e20)) at once
+        assume(False)
+    targets = tuple(sorted(targets))
+    assume(symbolic._witness(expr, dag.var_indices(), targets))
+    assert symbolic.eliminated_form(expr, [symbolic._sym(i) for i in targets]) is None
+
+
+@pytest.mark.parametrize("text, targets, verdict", [
+    ("(x4/x2)*x2+x3", (0, 1), False),
+    ("(x1*x2*x3+x1*(x2+log(x2))/x3)/x1", (0,), False),
+    ("sin(x1)*sin(x1)+cos(x1)*cos(x1)+x2", (0,), False),
+    ("sqrt(x1*x1)/x1", (0,), Inconclusive),
+])
+def test_dependence_witness_never_fires_on_independence(text, targets, verdict):
+    dag = parse(text)
+    assert not symbolic._witness(symbolic.to_sympy(dag), dag.var_indices(), targets)
+    if verdict is Inconclusive:
+        with pytest.raises(Inconclusive):
+            depends_on(dag, targets)
+    else:
+        assert depends_on(dag, targets) is verdict
+
+
+def test_non_integer_constant_goes_to_rewrite_chain(monkeypatch):
+    runs = []
+    escalate = symbolic._escalate
+
+    def counting(expr):
+        runs.append(expr)
+        return escalate(expr)
+
+    monkeypatch.setattr(symbolic, "_escalate", counting)
+    s = simplify(parse("x1*0.5+x2"))
+    assert symbolic.to_sympy(s).has(sp.Float)
+    assert symbolic._symbolic_dependence.__wrapped__(s, (0,)) is True
+    assert len(runs) == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from srsub import depends_on, equivalent, parse, symbolic
+from srsub import GrammarBudget, depends_on, equivalent, parse, substitution, symbolic
+from srsub.dag import OPS
 from srsub.errors import Inconclusive
 
 
@@ -106,3 +107,62 @@ def test_equivalent_reflexive_symmetric_on_random_corpus():
         assert equivalent(d, d)
     for a, b in zip(picked[:-1], picked[1:]):
         assert equivalent(a, b) == equivalent(b, a)
+
+
+def _enumeration_queries(monkeypatch, budget):
+    """Every (simplified dag, targets) query that candidate enumeration under
+    `budget` makes of the CAS verdict, enumerating from an empty cache."""
+    queries = []
+    memoized = symbolic._symbolic_dependence
+
+    def recording(s, targets):
+        queries.append((s, targets))
+        return memoized(s, targets)
+
+    monkeypatch.setattr(substitution, "_dag_cache", {})
+    monkeypatch.setattr(symbolic, "_symbolic_dependence", recording)
+    for arity in (2, 3):
+        substitution.input_candidate_dags(arity, budget)
+    for n_inputs in (1, 2):
+        substitution.outinput_candidate_dags(n_inputs, budget)
+    return queries
+
+
+def test_witness_verdicts_equal_rewrite_chain_verdicts(monkeypatch):
+    # the exact witness only skips the chain: on every query that candidate
+    # enumeration makes, the verdict is the chain's
+    budgets = [GrammarBudget(), GrammarBudget(max_intermediary_nodes=0),
+               GrammarBudget(allowed_ops=frozenset({"+", "-", "*", "/"})),
+               GrammarBudget(allowed_ops=frozenset(OPS))]
+    verdict = symbolic._symbolic_dependence.__wrapped__  # not memoized
+    queries = set()
+    for budget in budgets:
+        queries.update(_enumeration_queries(monkeypatch, budget))
+    assert len(queries) == 250
+    for s, targets in queries:
+        chain = symbolic.eliminated_form(
+            symbolic.to_sympy(s), [symbolic._sym(i) for i in targets]) is None
+        assert verdict(s, targets) is chain, s
+
+
+def test_default_enumeration_runs_rewrite_chain_at_most_four_times(monkeypatch):
+    runs = []
+    escalate = symbolic._escalate
+
+    def counting(expr):
+        runs.append(expr)
+        return escalate(expr)
+
+    monkeypatch.setattr(symbolic, "_escalate", counting)
+    symbolic._symbolic_dependence.cache_clear()
+    queries = _enumeration_queries(monkeypatch, GrammarBudget())
+    assert len(queries) == 236
+    assert len(runs) <= 4, runs
+
+
+def test_witness_gives_up_on_exp_towers():
+    # evalf of exp(exp(exp(exp(7/5)))) would need about 1e25 extra bits; the
+    # tower goes to the rewrite chain instead, which finds it dependent
+    dag = parse("exp(exp(exp(exp(exp(x1)))))+x2")
+    assert not symbolic._witness(symbolic.to_sympy(dag), dag.var_indices(), (0,))
+    assert depends_on(dag, {0}) is True
