@@ -255,16 +255,14 @@ def substitution_text(sub: Substitution | None) -> str | None:
     return f"outinput h({cols};y) = {to_text(sub.h, var_names=names)}"
 
 
-def reconstruct(path: list[SearchNode], solution: "ExprDag") -> "ExprDag":
-    """Translate a solution of the final path node back into the original
-    coordinates and solve for the original output.
+def reconstruct(ds: Dataset, solution: ExprDag) -> ExprDag:
+    """Translate a solution of a search node's problem `ds` back into the
+    original coordinates and solve for the original output.
 
-    `solution` is an expression over the final node's columns; the node's
-    column maps carry the composed effect of every substitution along the
-    path.  Raises NotSolvable when the output cannot be isolated.
+    `solution` is an expression over the columns of `ds`, whose column maps
+    carry the composed effect of every substitution on the path to it.
+    Raises NotSolvable when the output cannot be isolated.
     """
-    node = path[-1]
-    ds = node.dataset
     d0 = ds.d_original
     if solution.arity > ds.d:
         raise ValueError("solution uses more columns than the dataset has")

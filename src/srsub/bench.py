@@ -2,9 +2,10 @@
 
 A corpus file holds one problem per line (``id<TAB>d<TAB>expression``,
 ``#`` comments).  For every problem the harness samples the formula, adds
-noise, runs a root-only arm and a beam-search arm with a shared holdout, and
-per problem reports reduction metrics together with per-arm recovery, fit
-and complexity numbers.
+noise, searches, and fits the regressor once per node of the best path.  The
+root's fit is the base arm and the path's best fit the beam arm; both are
+scored on one holdout.  Per problem it reports reduction metrics together
+with per-arm recovery, fit and complexity numbers.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from .beamsearch import BeamConfig, SearchResult, search, trace_records
 from .dag import ExprDag, evaluate
-from .errors import Unsampleable, Unverifiable
+from .errors import ExternalFailure, Unsampleable, Unverifiable
 from .exprtext import parse
-from .regress import RegressorSpec, holdout_mask, solve_pipeline
+from .regress import RegressorSpec, SolveResult, holdout_mask, solve_pipeline
 from .simplify import subexpressions
 from .substitution import Dataset, reduce_truth, sympy_truth
 from .symbolic import equivalent
@@ -269,17 +270,12 @@ _AGGREGATE_FIELDS = (
 )
 
 
-def _arm_metrics(result: SearchResult, spec: RegressorSpec, p: Problem,
-                 holdout: Dataset) -> dict:
-    sol = solve_pipeline(result, spec, holdout=holdout)
-    rec = recovery(p.f_true, sol.expr)
+def _arm_metrics(sol: SolveResult, p: Problem) -> dict:
     return {
-        "recovered": bool(rec),
+        "recovered": bool(recovery(p.f_true, sol.expr)),
         "nrmse": sol.nrmse_test,
         "complexity": sol.complexity,
         "jaccard": jaccard(p.f_true, sol.expr),
-        "depth": sol.source_node_depth,
-        "expr": sol.expr,
     }
 
 
@@ -301,15 +297,14 @@ def run_problem(p: Problem, cfg: BeamConfig, spec: RegressorSpec,
         traces = [dict(rec, id=p.id) for rec in trace_records(result)]
 
         if fit_models:
-            root_only = SearchResult(best_path=[result.root], all_levels=[])
-            base = _arm_metrics(root_only, spec, p, holdout)
-            beam = _arm_metrics(result, spec, p, holdout)
-            for tag, metrics in (("base", base), ("beam", beam)):
-                row[f"{tag}_recovered"] = metrics["recovered"]
-                row[f"{tag}_nrmse"] = metrics["nrmse"]
-                row[f"{tag}_complexity"] = metrics["complexity"]
-                row[f"{tag}_jaccard"] = metrics["jaccard"]
-            row["beam_depth"] = beam["depth"]
+            fits = solve_pipeline(result, spec, holdout)
+            base = next((sol for sol in fits if sol.source_node_depth == 0), None)
+            if base is None:
+                raise ExternalFailure("no node of the path produced a usable model")
+            for tag, sol in (("base", base), ("beam", fits[0])):
+                for key, value in _arm_metrics(sol, p).items():
+                    row[f"{tag}_{key}"] = value
+            row["beam_depth"] = fits[0].source_node_depth
     except Exception as exc:  # per-problem failures become rows, never aborts
         row["status"] = type(exc).__name__
         row["error"] = str(exc)[:200]

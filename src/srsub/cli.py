@@ -102,6 +102,14 @@ def _read_csv(path: str) -> Dataset:
     return Dataset.from_arrays(data[:, :d], data[:, -1])
 
 
+def _read_data(args: argparse.Namespace) -> Dataset:
+    """The CSV of reduce and solve, with --noise added to its output."""
+    ds = _read_csv(args.csv)
+    if args.noise > 0:
+        ds = Dataset.from_arrays(ds.X, add_noise(ds.y, args.noise, args.seed))
+    return ds
+
+
 class _DataError(Exception):
     pass
 
@@ -111,11 +119,8 @@ def _emit(record: dict) -> None:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    ds = _read_csv(args.csv)
-    cfg = _beam_config(args)
-    if args.noise > 0:
-        ds = Dataset.from_arrays(ds.X, add_noise(ds.y, args.noise, args.seed))
-    result = search(ds, cfg)
+    ds = _read_data(args)
+    result = search(ds, _beam_config(args))
     out = Path(args.out or "reduce_out")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trace.jsonl", "w") as fh:
@@ -142,14 +147,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    ds = _read_csv(args.csv)
+    ds = _read_data(args)
     cfg = _beam_config(args)
     spec = _regressor_spec(args)
-    if args.noise > 0:
-        ds = Dataset.from_arrays(ds.X, add_noise(ds.y, args.noise, args.seed))
     mask = holdout_mask(ds.n, args.holdout, args.seed)
     result = search(ds.restrict_rows(~mask), cfg)
-    sol = solve_pipeline(result, spec, ds.restrict_rows(mask))
+    sol = solve_pipeline(result, spec, ds.restrict_rows(mask))[0]
     _emit({
         "command": "solve",
         "expression": to_text(sol.expr),

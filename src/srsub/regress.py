@@ -50,6 +50,9 @@ class RegressorSpec:
 
 @dataclass
 class SolveResult:
+    """One node's fit: the model in the original coordinates, its test NRMSE
+    and complexity, and the depth of the path node it was fitted at."""
+
     expr: ExprDag
     nrmse_test: float
     complexity: int
@@ -328,31 +331,32 @@ def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
     return mask
 
 
-def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) -> SolveResult:
-    """Fit the regressor at every node on the best path, reconstruct each
-    solution to the original coordinates, and keep the minimum test NRMSE.
+def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) -> list[SolveResult]:
+    """Fit the regressor at every node on the best path and reconstruct each
+    solution to the original coordinates; the fits, best first.
 
-    `holdout` holds the test rows of the problem's sample, as
-    `restrict_rows` of the full or root dataset; its original coordinates
-    are the test data.  Each node is fitted on its rows minus the holdout
-    rows, so no fit sees a test row; a node left with fewer than 3 rows is
-    skipped.
+    The list holds one entry per node that yields a usable model, in
+    ascending test NRMSE and in path order among equal errors, so `[0]` is
+    the earliest node with the least error.  `holdout` holds the test rows
+    of the problem's sample, as `restrict_rows` of the full or root dataset;
+    its original coordinates are the test data.  Each node is fitted on its
+    rows minus the holdout rows, so no fit sees a test row; a node left with
+    fewer than 3 rows is skipped.
     """
-    best: SolveResult | None = None
-    for i, node in enumerate(result.best_path):
+    fits: list[SolveResult] = []
+    for node in result.best_path:
         train = ~np.isin(node.dataset.origin_rows, holdout.origin_rows)
         if train.sum() < 3:
             continue
         try:
             sol = fit(node.dataset.restrict_rows(train), spec)
-            expr = reconstruct(result.best_path[:i + 1], sol)
+            expr = reconstruct(node.dataset, sol)
             err = nrmse(holdout.origin_y, evaluate(expr, holdout.origin_X))
         except (NotSolvable, DegenerateY, ExternalFailure, ValueError):
             continue
-        if best is None or err < best.nrmse_test:
-            best = SolveResult(expr=expr, nrmse_test=err,
-                               complexity=complexity(expr),
-                               source_node_depth=node.depth)
-    if best is None:
+        fits.append(SolveResult(expr=expr, nrmse_test=err, complexity=complexity(expr),
+                                source_node_depth=node.depth))
+    if not fits:
         raise ExternalFailure("no node of the path produced a usable model")
-    return best
+    fits.sort(key=lambda sol: sol.nrmse_test)  # stable: path order among ties
+    return fits

@@ -264,3 +264,51 @@ def enumerate_by_trees(arity: int, budget: GrammarBudget) -> set[str]:
         if 1 <= dag.op_count() <= m + 1:
             keys.add(dag.key)
     return keys
+
+
+# -- benchmark arms with the root fitted twice ------------------------------------
+
+
+def _earliest_strict_minimum(fits):
+    """The pick of a loop over the path that keeps a fit only when its test
+    error is strictly lower than the kept one's."""
+    best = None
+    for sol in sorted(fits, key=lambda sol: sol.source_node_depth):
+        if best is None or sol.nrmse_test < best.nrmse_test:
+            best = sol
+    return best
+
+
+def benchmark_search(p, cfg, noise, seed, n_samples):
+    """The search result and test rows of `bench.run_problem`, rebuilt step
+    by step."""
+    from srsub.beamsearch import search
+    from srsub.bench import add_noise, sample_problem
+    from srsub.regress import holdout_mask
+    from srsub.substitution import Dataset
+
+    ds = sample_problem(p, n_samples, seed)
+    full = Dataset.from_arrays(ds.X, add_noise(ds.y, noise.gamma, seed + 1))
+    mask = holdout_mask(full.n, 0.2, seed + 2)
+    return search(full.restrict_rows(~mask), cfg), full.restrict_rows(mask)
+
+
+def arms_fitted_separately(p, spec, result, holdout):
+    """The base and beam columns of a benchmark row, in report order, each
+    arm with its own `solve_pipeline` call: a root-only path for the base
+    arm, then the whole best path for the beam arm, which fits the root
+    again."""
+    from srsub.beamsearch import SearchResult
+    from srsub.bench import jaccard, recovery
+    from srsub.regress import solve_pipeline
+
+    columns = {}
+    for tag, arm in (("base", SearchResult(best_path=[result.root], all_levels=[])),
+                     ("beam", result)):
+        sol = _earliest_strict_minimum(solve_pipeline(arm, spec, holdout))
+        columns[f"{tag}_recovered"] = bool(recovery(p.f_true, sol.expr))
+        columns[f"{tag}_nrmse"] = sol.nrmse_test
+        columns[f"{tag}_complexity"] = sol.complexity
+        columns[f"{tag}_jaccard"] = jaccard(p.f_true, sol.expr)
+    columns["beam_depth"] = sol.source_node_depth
+    return columns

@@ -135,7 +135,7 @@ def test_reconstruct_identity_at_root():
     ds = _dataset_from("x1*x2+x3")
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
     sol = parse("x1*x2+x3")
-    out = reconstruct([root], sol)
+    out = reconstruct(root.dataset, sol)
     assert out == sol
 
 
@@ -150,7 +150,7 @@ def test_reconstruct_outinput_chain():
     child = SearchNode(dataset=child_ds, score=_score_dataset(child_ds, "codec"),
                        parent=root, edge=sub, depth=1)
     sol = parse("x1*x2")
-    out = reconstruct([root, child], sol)
+    out = reconstruct(child.dataset, sol)
     assert out == parse("x1*x2+x3")
 
 
@@ -169,7 +169,7 @@ def test_reconstruct_washburn_leaf():
     c = SearchNode(dataset=n3, score=root.score, parent=b,
                    edge=OutInputSub(h=parse("x2*sqrt(x1)", arity=2), I=(1,)), depth=3)
     sol = parse("sqrt(cos(x1)/2)")  # solution of the final 1-variable problem
-    out = reconstruct([root, a, b, c], sol)
+    out = reconstruct(c.dataset, sol)
     from srsub import equivalent
 
     assert equivalent(out, parse(WASHBURN))
@@ -193,7 +193,7 @@ def test_reconstruction_soundness_numeric_inversion():
     b = SearchNode(dataset=n2, score=root.score, parent=a,
                    edge=OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)), depth=2)
     sol = parse("sqrt(cos(x1)/(2*x2))")  # exact solution of node-2 problem
-    recon = reconstruct([root, a, b], sol)
+    recon = reconstruct(b.dataset, sol)
 
     hold = n2.origin_X[:50]
     hold_y = n2.origin_y[:50]

@@ -21,8 +21,11 @@ from srsub import (
     sample_problem,
     search,
 )
-from srsub.bench import _chain_verify, chain_stats
+from srsub import regress
+from srsub.bench import _chain_verify, chain_stats, run_problem
 from srsub.errors import Unsampleable
+
+from oracles import arms_fitted_separately, benchmark_search
 
 
 def test_sampler_total_domain_single_round():
@@ -222,6 +225,48 @@ def test_run_benchmark_worker_count_does_not_change_results(tmp_path):
     for a, b in zip(r1.rows, r2.rows):
         assert a["reduction_rate"] == b["reduction_rate"]
         assert a.get("beam_nrmse") == b.get("beam_nrmse")
+
+
+@pytest.mark.parametrize("text", ["x1*x2*x3", "x1*x2+x3"])
+def test_run_problem_fits_each_path_node_once(monkeypatch, text):
+    # both nodes of x1*x2+x3 fit it exactly, so the tie goes to the root
+    p = Problem(id="fit-once", d=3, f_true=parse(text))
+    cfg, spec, noise = BeamConfig(), RegressorSpec(kind="poly"), NoiseLevel(0.0)
+    result, holdout = benchmark_search(p, cfg, noise, seed=11, n_samples=300)
+    assert len(result.best_path) >= 2
+
+    fitted = []
+    real_fit = regress.fit
+
+    def counting_fit(ds, spec):
+        fitted.append(ds.d)
+        return real_fit(ds, spec)
+
+    monkeypatch.setattr(regress, "fit", counting_fit)
+    row, _ = run_problem(p, cfg, spec, noise, seed=11, n_samples=300)
+    assert row["status"] == "ok"
+    assert len(fitted) == len(result.best_path)
+
+    expected = arms_fitted_separately(p, spec, result, holdout)
+    assert [key for key in row if key.startswith(("base_", "beam_"))] == list(expected)
+    assert {key: row[key] for key in expected} == expected
+
+
+def test_run_problem_without_a_root_fit_fails_the_row(monkeypatch):
+    p = Problem(id="no-root-fit", d=3, f_true=parse("x1*x2*x3"))
+    real_fit = regress.fit
+
+    def fit_below_root(ds, spec):
+        if ds.d == 3:
+            raise ValueError("no root fit")
+        return real_fit(ds, spec)
+
+    monkeypatch.setattr(regress, "fit", fit_below_root)
+    row, _ = run_problem(p, BeamConfig(), RegressorSpec(kind="poly"), NoiseLevel(0.0),
+                         seed=11, n_samples=300)
+    assert row["status"] == "ExternalFailure"
+    assert row["error"] == "no node of the path produced a usable model"
+    assert not any(key.startswith(("base_", "beam_")) for key in row)
 
 
 def test_run_benchmark_records_failures(tmp_path):

@@ -19,6 +19,7 @@ from srsub import (
     OutInputSub,
     codec,
     depends_on,
+    nrmse,
     search,
     simplify,
     symbolic,
@@ -39,7 +40,7 @@ from srsub.dag import (
 from srsub.errors import Inconclusive
 from srsub.exprtext import parse, to_text
 
-from oracles import evaluate_nodewise
+from oracles import evaluate_nodewise, nrmse_masked
 
 _CONSTANTS = (0.5, 1.0, 2.0, -3.0, 2.5066282746310002, 1e-3, 1e20)
 
@@ -248,6 +249,23 @@ def test_codec_forms_agree_with_ties_and_duplicate_rows(data, n, d):
     y = data.draw(arrays(np.float64, n, elements=value))
     assume(len(np.unique(y)) > 1)
     assert codec(X, y, form="min").value == codec(X, y, form="rewritten").value
+
+
+_PREDICTION = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from((np.nan, np.inf, -np.inf)),
+                        st.floats(0.5e200, 2e200).flatmap(lambda v: st.sampled_from((v, -v))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_nrmse_bitwise_equal_to_masked_oracle_on_generated_inputs(data, n):
+    y = data.draw(arrays(np.float64, n, elements=st.floats(-1e150, 1e150)))
+    total = float(np.sum(y * y))
+    assume(np.isfinite(total) and total != 0.0)
+    yhat = data.draw(arrays(np.float64, n, elements=st.one_of(_PREDICTION, st.sampled_from(y))))
+    got = np.float64(nrmse(y, yhat))
+    want = np.float64(nrmse_masked(y, yhat))
+    assert got.view(np.int64) == want.view(np.int64)
 
 
 def _fold(op, value):

@@ -337,7 +337,7 @@ def test_pipeline_constant_function_resolved_at_root():
     root.score = DependenceScore(float("-inf"), "codec")
     result = SearchResult(best_path=[root], all_levels=[])
     sol = solve_pipeline(result, RegressorSpec(kind="poly"),
-                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=1)))
+                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=1)))[0]
     assert sol.source_node_depth == 0
     assert equivalent(sol.expr, parse("5", arity=2))
 
@@ -348,10 +348,30 @@ def test_pipeline_beats_or_matches_root_fit():
     holdout = ds.restrict_rows(mask)
     result = search(ds.restrict_rows(~mask), BeamConfig())
     spec = RegressorSpec(kind="poly")
-    full = solve_pipeline(result, spec, holdout)
-    root_only = solve_pipeline(SearchResult(best_path=[result.root], all_levels=[]),
-                               spec, holdout)
-    assert full.nrmse_test <= root_only.nrmse_test + 1e-12
+    fits = solve_pipeline(result, spec, holdout)
+    root = next(sol for sol in fits if sol.source_node_depth == 0)
+    assert fits[0].nrmse_test <= root.nrmse_test + 1e-12
+    # the root's entry is the fit of a root-only path
+    (root_only,) = solve_pipeline(SearchResult(best_path=[result.root], all_levels=[]),
+                                  spec, holdout)
+    assert root.expr.key == root_only.expr.key
+    assert root.nrmse_test == root_only.nrmse_test
+
+
+def test_pipeline_fits_best_first_in_path_order_among_ties(monkeypatch):
+    ds = _dataset("x1*x2*x3", n=400, seed=10)
+    mask = holdout_mask(ds.n, 0.2, seed=3)
+    holdout = ds.restrict_rows(mask)
+    result = search(ds.restrict_rows(~mask), BeamConfig())
+    assert len(result.best_path) > 1
+    spec = RegressorSpec(kind="poly")
+    errors = [sol.nrmse_test for sol in solve_pipeline(result, spec, holdout)]
+    assert errors == sorted(errors)
+
+    monkeypatch.setattr(regress, "nrmse", lambda y, yhat: 0.5)
+    fits = solve_pipeline(result, spec, holdout)
+    assert [sol.source_node_depth for sol in fits] == [node.depth for node in result.best_path]
+    assert fits[0].source_node_depth == 0
 
 
 @pytest.mark.parametrize("split_first", [False, True])
@@ -398,5 +418,5 @@ def test_dagsearch_root_only_cannot_recover_washburn():
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
     result = SearchResult(best_path=[root], all_levels=[])
     sol = solve_pipeline(result, RegressorSpec(kind="dagsearch", max_skeletons=3000),
-                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=6)))
+                         ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=6)))[0]
     assert not equivalent(parse(WASHBURN), sol.expr)
