@@ -20,8 +20,6 @@ from .bench import (
 )
 from .dag import ExprDag, compose, evaluate, solve_for, variable
 from .depmeasure import (
-    DependenceScore,
-    NeighborMap,
     RankVectors,
     chatterjee_xi,
     codec,
@@ -71,13 +69,11 @@ __all__ = [
     "BeamConfig",
     "Dataset",
     "DegenerateY",
-    "DependenceScore",
     "ExprDag",
     "ExternalFailure",
     "GrammarBudget",
     "Inconclusive",
     "InputSub",
-    "NeighborMap",
     "NoiseLevel",
     "NotSolvable",
     "OutInputSub",

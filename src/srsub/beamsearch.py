@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .dag import DagBuilder, ExprDag, compose, solve_for
-from .depmeasure import (
-    DependenceScore,
-    NeighborMap,
-    chatterjee_xi,
-    codec,
-    compute_ranks,
-    kmac,
-    neighbor_map,
-    volume_score,
-)
+from .depmeasure import chatterjee_xi, codec, compute_ranks, kmac, neighbor_map, volume_score
 from .errors import DegenerateY, TooFewRows
 from .exprtext import to_text
 from .grammar import GrammarBudget
@@ -68,7 +61,7 @@ class BeamConfig:
 @dataclass
 class SearchNode:
     dataset: Dataset
-    score: DependenceScore
+    score: float
     parent: Optional["SearchNode"] = None
     edge: Optional[Substitution] = None
     depth: int = 0
@@ -98,7 +91,7 @@ def _uses_neighbor_map(measure: str, d: int) -> bool:
 
 
 def _score_dataset(ds: Dataset, measure: str, y_ranks=None,
-                   nn: NeighborMap | None = None) -> DependenceScore:
+                   nn: np.ndarray | None = None) -> float:
     if measure == "codec":
         return codec(ds.X, ds.y, ranks=y_ranks, nn=nn)
     if measure == "kmac":
@@ -108,22 +101,23 @@ def _score_dataset(ds: Dataset, measure: str, y_ranks=None,
     # the univariate rank coefficient applies to one-column problems; its
     # multivariate generalization covers the rest
     if ds.d == 1:
-        return DependenceScore(chatterjee_xi(ds.X[:, 0], ds.y).value, "xi")
-    return replace(codec(ds.X, ds.y, ranks=y_ranks, nn=nn), measure="xi")
+        return chatterjee_xi(ds.X[:, 0], ds.y)
+    return codec(ds.X, ds.y, ranks=y_ranks, nn=nn)
 
 
 def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
                     parent_ranks=None, nn_maps: dict | None = None
-                    ) -> tuple[Dataset, DependenceScore] | None:
-    """Apply a substitution and score the transformed problem.
+                    ) -> tuple[Dataset, float] | None:
+    """Apply a substitution and score the transformed problem: the child
+    dataset and its dependence score.
 
     Returns None when the candidate is rejected: too many rows dropped, a
     near-constant output, a resolution-collapsed input column, or a
     degenerate rank denominator.
 
-    `nn_maps` collects the neighbor maps of out-input children of this one
-    parent.  Such a child's inputs are the parent's columns outside I on the
-    surviving rows, so (I, surviving rows) keys its map, which is built
+    `nn_maps` collects the neighbor indices of out-input children of this
+    one parent.  Such a child's inputs are the parent's columns outside I on
+    the surviving rows, so (I, surviving rows) keys its map, which is built
     once and reused by every later out-input candidate with that key.
     """
     try:
@@ -194,7 +188,7 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     try:
         root_score = _score_dataset(root_ds, cfg.measure)
     except DegenerateY:
-        root_score = DependenceScore(float("-inf"), cfg.measure)
+        root_score = float("-inf")
     root = SearchNode(dataset=root_ds, score=root_score)
 
     levels: list[list[SearchNode]] = []
@@ -202,13 +196,13 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     seq = itertools.count(1)
     for depth in range(1, max(root_ds.d - 1, 0) + 1):
         beam = heapq.nsmallest(cfg.beam_size, _children(beam, cfg, depth, seq),
-                               key=lambda node: (-node.score.value, node.n_vars, node.seq))
+                               key=lambda node: (-node.score, node.n_vars, node.seq))
         if not beam:
             break
         levels.append(beam)
 
     # the first node with the highest score, root first, then level by level
-    best = max(itertools.chain([root], *levels), key=lambda node: node.score.value)
+    best = max(itertools.chain([root], *levels), key=lambda node: node.score)
     path: list[SearchNode] = []
     node: SearchNode | None = best
     while node is not None:
@@ -224,7 +218,7 @@ def trace_records(result: SearchResult) -> list[dict]:
         {
             "depth": 0,
             "substitution": None,
-            "score": result.root.score.value,
+            "score": result.root.score,
             "n_vars": result.root.n_vars,
             "rows_dropped": 0.0,
         }
@@ -235,7 +229,7 @@ def trace_records(result: SearchResult) -> list[dict]:
                 {
                     "depth": node.depth,
                     "substitution": substitution_text(node.edge),
-                    "score": node.score.value,
+                    "score": node.score,
                     "n_vars": node.n_vars,
                     "rows_dropped": node.dataset.drop_fraction,
                 }

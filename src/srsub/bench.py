@@ -301,8 +301,10 @@ def run_problem(p: Problem, cfg: BeamConfig, spec: RegressorSpec,
             base = next((sol for sol in fits if sol.source_node_depth == 0), None)
             if base is None:
                 raise ExternalFailure("no node of the path produced a usable model")
-            for tag, sol in (("base", base), ("beam", fits[0])):
-                for key, value in _arm_metrics(sol, p).items():
+            base_metrics = _arm_metrics(base, p)
+            beam_metrics = base_metrics if fits[0] is base else _arm_metrics(fits[0], p)
+            for tag, metrics in (("base", base_metrics), ("beam", beam_metrics)):
+                for key, value in metrics.items():
                     row[f"{tag}_{key}"] = value
             row["beam_depth"] = fits[0].source_node_depth
     except Exception as exc:  # per-problem failures become rows, never aborts

@@ -140,7 +140,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "command": "reduce",
         "nodes": len(result.best_path),
         "final_vars": result.best.n_vars,
-        "best_score": result.best.score.value,
+        "best_score": result.best.score,
         "out": str(out),
     })
     return EXIT_OK

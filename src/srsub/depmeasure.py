@@ -33,19 +33,6 @@ class RankVectors:
     l: np.ndarray
 
 
-@dataclass(frozen=True)
-class NeighborMap:
-    """nu[i] is the index of the Euclidean nearest neighbor of row i."""
-
-    nu: np.ndarray
-
-
-@dataclass(frozen=True)
-class DependenceScore:
-    value: float
-    measure: str
-
-
 def compute_ranks(y: np.ndarray) -> RankVectors:
     """Exact <=/>=-counting ranks, ties included."""
     y = np.asarray(y, dtype=float)
@@ -66,18 +53,20 @@ def _standardize(X: np.ndarray) -> np.ndarray:
     return (X - mean) / std
 
 
-def neighbor_map(X: np.ndarray) -> NeighborMap:
-    """1-NN map of X after per-column standardization: the graph that codec
-    and kmac score over.  It depends on X alone, so callers scoring several
-    outputs against one design matrix can build it once and pass it in."""
+def neighbor_map(X: np.ndarray) -> np.ndarray:
+    """1-NN indices of X after per-column standardization: the graph that
+    codec and kmac score over, as `nearest_neighbors` returns it.  It depends
+    on X alone, so callers scoring several outputs against one design matrix
+    can build it once and pass it in."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     return nearest_neighbors(_standardize(X))
 
 
-def nearest_neighbors(X: np.ndarray) -> NeighborMap:
-    """1-NN map with deterministic lowest-index tie-breaking.
+def nearest_neighbors(X: np.ndarray) -> np.ndarray:
+    """1-NN indices with deterministic lowest-index tie-breaking: entry i of
+    the int64 result is the row nearest to row i.
 
     One column is searched exactly by sorting, more columns with a k-d
     tree.  A neighbor whose squared distance is within relative 1e-12 (plus
@@ -91,7 +80,7 @@ def nearest_neighbors(X: np.ndarray) -> NeighborMap:
     if n < 2:
         raise ValueError("need at least two rows")
     if d == 1:
-        return NeighborMap(_sorted_nn_1d(X))
+        return _sorted_nn_1d(X)
     k = min(n, 4)
     dist, idx = cKDTree(X).query(X, k=k)
     rows = np.arange(n)
@@ -106,7 +95,7 @@ def nearest_neighbors(X: np.ndarray) -> NeighborMap:
     unsure = (tie.sum(axis=1) > 1) | ((k < n) & (dist[:, -1] <= tol))
     for i in np.flatnonzero(unsure):
         nu[i] = _brute_force_row(X, i)
-    return NeighborMap(nu)
+    return nu
 
 
 def _tie_tolerance(dmin: np.ndarray) -> np.ndarray:
@@ -157,7 +146,7 @@ def _brute_force_row(X: np.ndarray, i: int) -> int:
     return int(np.flatnonzero(d2 <= dmin * (1 + 1e-12) + 1e-300)[0])
 
 
-def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> DependenceScore:
+def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> float:
     """Univariate rank coefficient from consecutive rank differences.
 
     Pairs are sorted by x (stable). With all values distinct the result
@@ -174,11 +163,11 @@ def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> DependenceScore:
     den = 2 * int((ranks.l * (n - ranks.l)).sum())
     if den == 0:
         raise DegenerateY("constant output column")
-    return DependenceScore(1.0 - num / den, "xi")
+    return 1.0 - num / den
 
 
-def _neighbor_indices(X: np.ndarray, n: int, nn: NeighborMap | None) -> np.ndarray:
-    nu = (nn if nn is not None else neighbor_map(X)).nu
+def _neighbor_indices(X: np.ndarray, n: int, nn: np.ndarray | None) -> np.ndarray:
+    nu = nn if nn is not None else neighbor_map(X)
     if len(nu) != n:
         raise ValueError("neighbor map and output differ in length")
     return nu
@@ -186,13 +175,14 @@ def _neighbor_indices(X: np.ndarray, n: int, nn: NeighborMap | None) -> np.ndarr
 
 def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
           ranks: RankVectors | None = None,
-          nn: NeighborMap | None = None) -> DependenceScore:
+          nn: np.ndarray | None = None) -> float:
     """Multivariate dependence via nearest-neighbor rank comparison.
 
     `form` selects between the direct minimum-based numerator and the
     algebraically rewritten numerator (n/2)(R + S - sum|r_i - r_nu(i)|) - L;
     the two agree exactly.  `ranks` may carry precomputed ranks of y, and
-    `nn` the precomputed `neighbor_map(X)`; X is not read when `nn` is given.
+    `nn` the neighbor indices `neighbor_map(X)` returns; X is not read when
+    `nn` is given.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
@@ -213,10 +203,10 @@ def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
         S = int(r_nu.sum())
         L = int((l * l).sum())
         twice = n * (R + S - int(np.abs(r - r_nu).sum())) - 2 * L
-        return DependenceScore(twice / (2 * den), "codec")
+        return twice / (2 * den)
     else:
         raise ValueError(f"unknown form {form!r}")
-    return DependenceScore(num / den, "codec")
+    return num / den
 
 
 def default_bandwidth(y: np.ndarray) -> float:
@@ -237,13 +227,13 @@ def default_bandwidth(y: np.ndarray) -> float:
 
 
 def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None,
-         nn: NeighborMap | None = None) -> DependenceScore:
+         nn: np.ndarray | None = None) -> float:
     """Kernel association over the 1-NN graph with a Gaussian RBF kernel.
 
     score = [mean_i k(y_i, y_nu(i)) - cross] / [k(0) - cross] where `cross`
     is the mean kernel value over distinct pairs (subsampled above 2000
-    rows).  `nn` may carry the precomputed `neighbor_map(X)`; X is not read
-    when it is given.
+    rows).  `nn` may carry the neighbor indices `neighbor_map(X)` returns;
+    X is not read when it is given.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
@@ -266,7 +256,7 @@ def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None,
     den = 1.0 - cross
     if den == 0:
         raise DegenerateY("kernel sees a constant output column")
-    return DependenceScore((local - cross) / den, "kmac")
+    return (local - cross) / den
 
 
 def parallelepiped_volumes(Z: np.ndarray) -> np.ndarray:
@@ -286,7 +276,7 @@ def parallelepiped_volumes(Z: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(diffs))
 
 
-def volume_score(X: np.ndarray, y: np.ndarray) -> DependenceScore:
+def volume_score(X: np.ndarray, y: np.ndarray) -> float:
     """Baseline score from mean parallelepiped volume in joint (x, y) space.
 
     On data sampled densely from a function the d+1 difference vectors to the
@@ -302,4 +292,4 @@ def volume_score(X: np.ndarray, y: np.ndarray) -> DependenceScore:
         raise ValueError("need at least d + 2 observations")
     Z = _standardize(np.column_stack([X, y]))
     vols = parallelepiped_volumes(Z)
-    return DependenceScore(1.0 / (1.0 + float(vols.mean())), "volume")
+    return 1.0 / (1.0 + float(vols.mean()))

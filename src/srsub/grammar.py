@@ -19,13 +19,15 @@ DEFAULT_OPS = frozenset({"+", "-", "*", "/", "sqrt", "log", "exp", "sin", "cos"}
 
 @dataclass(frozen=True)
 class GrammarBudget:
-    """Size and operator limits for dag enumeration."""
+    """Size and operator limits for dag enumeration.  Hashable, so that the
+    enumeration caches can key on a budget."""
 
     max_intermediary_nodes: int = 1
     allowed_ops: frozenset = field(default_factory=lambda: DEFAULT_OPS)
     allow_constants: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "allowed_ops", frozenset(self.allowed_ops))
         if self.max_intermediary_nodes < 0:
             raise ValueError("max_intermediary_nodes must be >= 0")
         unknown = set(self.allowed_ops) - set(OPS)

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -70,17 +71,26 @@ def nrmse(y: np.ndarray, yhat: np.ndarray) -> float:
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
     with np.errstate(over="ignore"):
         total = float(np.sum(y * y))
-    if total == 0.0:
+    if _all_zero(y, total):
         raise DegenerateY("zero output norm")
     return _nrmse(y, yhat, total)
 
 
+def _all_zero(y: np.ndarray, total: float) -> bool:
+    """Whether y is all zeros, given total = sum(y * y).  A y with nonzero
+    entries can still underflow total to 0."""
+    return total == 0.0 and not y.any()
+
+
 def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float) -> float:
-    """`nrmse` of flat float arrays given total = sum(y * y), which is not 0."""
-    if not math.isfinite(total):
-        # sum(y * y) overflowed; the ratio does not depend on the scale of y
+    """`nrmse` of flat float arrays given total = sum(y * y); y is not all
+    zeros."""
+    if not sys.float_info.min <= total < math.inf:
+        # sum(y * y) overflowed or fell below the normal range; the ratio
+        # does not depend on the scale of y
         scale = float(np.max(np.abs(y)))
-        y, yhat = y / scale, yhat / scale
+        with np.errstate(all="ignore"):
+            y, yhat = y / scale, yhat / scale
         total = float(np.sum(y * y))
     with np.errstate(all="ignore"):
         sq = (y - yhat) ** 2
@@ -160,7 +170,7 @@ _skeleton_cache: dict[tuple, tuple[ExprDag, ...]] = {}
 
 
 def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> tuple[ExprDag, ...]:
-    key = (arity, budget.max_intermediary_nodes, tuple(sorted(budget.allowed_ops)), cap)
+    key = (arity, budget, cap)
     if key not in _skeleton_cache:
         gen = enumerate_dags(arity, budget)
         _skeleton_cache[key] = tuple(itertools.islice(gen, cap))
@@ -169,7 +179,7 @@ def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> tuple[ExprDag, ..
 
 def _fit_error(y: np.ndarray, pred: np.ndarray, total: float) -> float:
     """The fit objective: `nrmse`, or the penalty when y is all zeros."""
-    return NONFINITE_PENALTY if total == 0.0 else _nrmse(y, pred, total)
+    return NONFINITE_PENALTY if _all_zero(y, total) else _nrmse(y, pred, total)
 
 
 def _fit_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarray,
@@ -246,7 +256,7 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     for pos, skel in enumerate(skeletons):
         names = skel.placeholders()
         if not names:
-            if total == 0.0:
+            if _all_zero(y, total):
                 continue
             candidates.append((_nrmse(y, evaluate(skel, X), total), pos, None))
         else:

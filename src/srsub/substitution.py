@@ -148,11 +148,6 @@ class Dataset:
 _dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
 
 
-def _budget_key(arity: int, budget: GrammarBudget) -> tuple:
-    return (arity, budget.max_intermediary_nodes, tuple(sorted(budget.allowed_ops)),
-            budget.allow_constants)
-
-
 def _depends_on_all(dag: ExprDag, rng: np.random.Generator) -> bool:
     needed = set(range(dag.arity))
     if simplify(dag).var_indices() != needed:
@@ -166,7 +161,7 @@ def _depends_on_all(dag: ExprDag, rng: np.random.Generator) -> bool:
 def input_candidate_dags(arity: int, budget: GrammarBudget) -> tuple[ExprDag, ...]:
     """Constant-free dags of the given arity that depend on all their inputs,
     deduplicated by canonical form."""
-    key = ("input",) + _budget_key(arity, budget)
+    key = ("input", arity, budget)
     if key not in _dag_cache:
         budget = replace(budget, allow_constants=False)
         rng = np.random.default_rng(symbolic.DEFAULT_SEED)
@@ -187,7 +182,7 @@ def outinput_candidate_dags(n_inputs: int, budget: GrammarBudget) -> tuple[ExprD
     """Dags over (x_1..x_nI, y) where y occurs once on an invertible path and
     the dag depends on y and on every input: the input candidates over
     n_inputs + 1 columns whose last column lies on an invertible path."""
-    key = ("outinput",) + _budget_key(n_inputs, budget)
+    key = ("outinput", n_inputs, budget)
     if key not in _dag_cache:
         _dag_cache[key] = tuple(dag for dag in input_candidate_dags(n_inputs + 1, budget)
                                 if invertible_path(dag, n_inputs))

@@ -17,7 +17,6 @@ two sides disagree the result is reported as Inconclusive rather than guessed.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,19 +44,13 @@ _WITNESS_DIGITS = 30
 _WITNESS_GAP = 1e-12
 _WITNESS_ARG_CAP = 1e4
 
-_real_syms: list[sp.Symbol] = []
-_pos_syms: list[sp.Symbol] = []
-
 
 def _symbol(name: str, positive: bool) -> sp.Symbol:
     return sp.Symbol(name, positive=True) if positive else sp.Symbol(name, real=True)
 
 
 def _sym(i: int, positive: bool = False) -> sp.Symbol:
-    cache = _pos_syms if positive else _real_syms
-    while len(cache) <= i:
-        cache.append(_symbol(f"x{len(cache) + 1}", positive))
-    return cache[i]
+    return _symbol(f"x{i + 1}", positive)
 
 
 def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
@@ -89,14 +82,8 @@ def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
 
 def _with_assumption(expr: sp.Expr, positive: bool) -> sp.Expr:
     """`expr` with every symbol swapped for its positive (or else real)
-    namesake; ``x<i>`` symbols come from the shared cache."""
-    mapping = {}
-    for s in expr.free_symbols:
-        if s.name.startswith("x") and s.name[1:].isdigit():
-            mapping[s] = _sym(int(s.name[1:]) - 1, positive)
-        else:
-            mapping[s] = _symbol(s.name, positive)
-    return expr.xreplace(mapping)
+    namesake."""
+    return expr.xreplace({s: _symbol(s.name, positive) for s in expr.free_symbols})
 
 
 def _escalate(expr: sp.Expr) -> Iterable[sp.Expr]:
@@ -283,7 +270,6 @@ def _witness(expr: sp.Expr, variables: set[int], targets: tuple[int, ...]) -> bo
     return bool(abs(v1 - v0) > _WITNESS_GAP * (1 + abs(v0)))
 
 
-@functools.lru_cache(maxsize=4096)
 def _symbolic_dependence(s: ExprDag, targets: tuple[int, ...]) -> bool:
     """The symbolic half of `depends_on` for a simplified dag: True unless
     some rewrite of the expression is free of every target.
@@ -294,9 +280,9 @@ def _symbolic_dependence(s: ExprDag, targets: tuple[int, ...]) -> bool:
     the expression, so the chain would answer "dependent" too; the witness
     only skips its work.
 
-    The verdict is a function of the dag's structure, which its key pins, so
-    it is kept: enumerating out-input candidates asks again about every dag
-    that enumerating input candidates of the same arity already asked about.
+    Verdicts are not memoized: candidate enumeration, the one caller that
+    asks many questions, dedupes its dags by canonical key and caches its
+    result per arity and budget, so it never asks the same question twice.
     """
     variables = s.var_indices()
     if not (variables & set(targets)):
@@ -326,14 +312,21 @@ def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,
 
 def equivalent(f: ExprDag, g: ExprDag,
                rng: np.random.Generator | None = None) -> bool:
-    """Equality up to an additive or a non-zero multiplicative constant."""
+    """Equality up to an additive or a non-zero multiplicative constant.
+
+    An expression that sympy cannot build, because it folds a constant past
+    any integer it can hold, is equivalent to nothing.
+    """
     if f.arity != g.arity:
         raise ValueError("expressions must have the same arity")
     rng = rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
     b = DagBuilder()
     fr, gr = b.copy_from(f), b.copy_from(g)
     diff = b.extract(b.binary("-", fr, gr), f.arity)
-    fs, gs = to_sympy(f), to_sympy(g)
+    try:
+        fs, gs = to_sympy(f), to_sympy(g)
+    except OverflowError:
+        return False
 
     if _constant_verdict(diff, fs - gs, rng) is not None:
         return True

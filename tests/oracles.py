@@ -142,10 +142,16 @@ def evaluate_nodewise(dag, X, params=None):
 
 def nrmse_masked(y, yhat, penalty=10.0):
     """NRMSE with every non-finite squared error replaced by the penalty
-    term through one unconditional `np.where`."""
+    term through one unconditional `np.where`.  When sum(y * y) is not a
+    normal finite float, y and yhat are first divided by max|y|."""
     y = np.asarray(y, dtype=float).reshape(-1)
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    total = float(np.sum(y * y))
+    with np.errstate(all="ignore"):
+        total = float(np.sum(y * y))
+        if not (total >= np.finfo(float).tiny and np.isfinite(total)):
+            scale = np.max(np.abs(y))
+            y, yhat = y / scale, yhat / scale
+            total = float(np.sum(y * y))
     n = len(y)
     with np.errstate(all="ignore"):
         sq = (y - yhat) ** 2
@@ -187,7 +193,7 @@ def beam_levels_by_sorting(root, cfg):
                     seq += 1
                     children.append(SearchNode(dataset=scored[0], score=scored[1],
                                                parent=parent, edge=sub, depth=depth, seq=seq))
-        children.sort(key=lambda node: (-node.score.value, node.n_vars, node.seq))
+        children.sort(key=lambda node: (-node.score, node.n_vars, node.seq))
         beam = children[:cfg.beam_size]
         if not beam:
             break

@@ -50,7 +50,7 @@ def test_criterion_01_xi_closed_form():
     for n in (4, 10, 100):
         x = np.arange(1.0, n + 1)
         y = np.exp(x / n)  # strictly increasing, distinct
-        got = chatterjee_xi(x, y).value
+        got = chatterjee_xi(x, y)
         worst = max(worst, abs(got - (1 - 3 / (n + 1))))
     _report(1, worst <= 1e-12,
             f"xi closed form max deviation {worst:.2e} (runtime {time.monotonic() - t0:.2f}s)")
@@ -67,8 +67,8 @@ def test_criterion_02_codec_identity():
             y = X[:, 0] ** 2 + 0.5 * rng.normal(size=n)
         else:
             y = rng.normal(size=n)
-        a = codec(X, y, form="min").value
-        b = codec(X, y, form="rewritten").value
+        a = codec(X, y, form="min")
+        b = codec(X, y, form="rewritten")
         worst = max(worst, abs(a - b))
     _report(2, worst <= 1e-12,
             f"codec numerator forms max |diff| {worst:.2e} (runtime {time.monotonic() - t0:.2f}s)")
@@ -87,8 +87,8 @@ def test_criterion_03_dependence_limits():
         rng = np.random.default_rng(100 + i)
         X = rng.uniform(0.0, 1.0, size=(n, 2))
         y = evaluate(parse(text, arity=2), X)
-        c = codec(X, y).value
-        k = kmac(X, y).value
+        c = codec(X, y)
+        k = kmac(X, y)
         if c < 0.8 or k < 0.8:
             ok = False
             details.append(f"{text}: codec={c:.3f} kmac={k:.3f}")
@@ -96,8 +96,8 @@ def test_criterion_03_dependence_limits():
         rng = np.random.default_rng(200 + i)
         X = rng.uniform(0.0, 1.0, size=(n, 2))
         y = rng.normal(size=n)
-        c = codec(X, y).value
-        k = kmac(X, y).value
+        c = codec(X, y)
+        k = kmac(X, y)
         if abs(c) > 0.2 or abs(k) > 0.2:
             ok = False
             details.append(f"indep {i}: codec={c:.3f} kmac={k:.3f}")

@@ -66,7 +66,7 @@ def test_beam_discipline_and_monotone_dimension():
         assert node.n_vars < node.parent.n_vars
     # survivors at each level are the top scorers among their level's records
     for level in res.all_levels:
-        scores = [n.score.value for n in level]
+        scores = [n.score for n in level]
         assert scores == sorted(scores, reverse=True)
 
 
@@ -77,7 +77,7 @@ def test_search_determinism():
     r2 = search(ds, cfg)
     assert len(r1.best_path) == len(r2.best_path)
     for a, b in zip(r1.best_path, r2.best_path):
-        assert a.score.value == b.score.value
+        assert a.score == b.score
         assert a.n_vars == b.n_vars
         assert (a.edge is None) == (b.edge is None)
         if a.edge is not None:
@@ -100,13 +100,13 @@ def test_score_candidate_orders_valid_above_invalid():
     good = score_candidate(root, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)), "codec", ranks)
     bad = score_candidate(root, InputSub(g=parse("x1+x2"), I=(3, 4)), "codec", ranks)
     assert good is not None and bad is not None
-    assert good[1].value >= 0.9
-    assert bad[1].value < good[1].value
+    assert good[1] >= 0.9
+    assert bad[1] < good[1]
     # the pipeline value equals the score on analytically transformed data
     from srsub import codec
 
     Xt = np.column_stack([ds.X[:, 0] * ds.X[:, 1] * ds.X[:, 2], ds.X[:, 3], ds.X[:, 4]])
-    assert good[1].value == codec(Xt, ds.y).value
+    assert good[1] == codec(Xt, ds.y)
 
 
 def test_score_candidate_rejects_constant_output():
@@ -128,7 +128,7 @@ def test_root_score_participates():
                                           allowed_ops=frozenset({"+"})))
     res = search(ds, cfg)
     assert res.best is res.root
-    assert res.root.score.value == _score_dataset(ds, "codec").value
+    assert res.root.score == _score_dataset(ds, "codec")
 
 
 def test_reconstruct_identity_at_root():
@@ -272,7 +272,7 @@ def test_shared_neighbor_maps_give_fresh_codec_scores(monkeypatch):
     outinput = [(p, s, c) for p, s, c, _ in calls if isinstance(s, OutInputSub)]
     assert any(c.n < p.dataset.n for p, _, c in outinput)
     for _, _, child, score in calls:
-        assert score.value == codec(child.X, child.y).value
+        assert score == codec(child.X, child.y)
 
 
 def test_neighbor_map_built_once_per_outinput_key(monkeypatch):
@@ -331,12 +331,12 @@ def test_shared_neighbor_map_keyed_by_surviving_rows():
     (a, score_a), (b, score_b) = children
     assert a.n == b.n and not np.array_equal(a.origin_rows, b.origin_rows)
     assert len(nn_maps) == 2
-    assert score_a.value == codec(a.X, a.y).value
-    assert score_b.value == codec(b.X, b.y).value
+    assert score_a == codec(a.X, a.y)
+    assert score_b == codec(b.X, b.y)
 
 
 def _level_records(levels):
-    return [[(node.seq, node.parent.seq, node.edge, node.score.value, node.n_vars)
+    return [[(node.seq, node.parent.seq, node.edge, node.score, node.n_vars)
              for node in level] for level in levels]
 
 
@@ -362,7 +362,7 @@ def test_survivors_equal_sorting_every_child(beam_size, which):
     assert _level_records(result.all_levels) == _level_records(want)
     # the best node is the first with the top score, root first
     nodes = [result.root] + [node for level in want for node in level]
-    top = max(node.score.value for node in nodes)
-    first = next(node for node in nodes if node.score.value == top)
+    top = max(node.score for node in nodes)
+    first = next(node for node in nodes if node.score == top)
     assert result.best.seq == first.seq
     assert [node.seq for node in result.best_path][-1] == first.seq

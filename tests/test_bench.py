@@ -21,7 +21,7 @@ from srsub import (
     sample_problem,
     search,
 )
-from srsub import regress
+from srsub import bench, regress
 from srsub.bench import _chain_verify, chain_stats, run_problem
 from srsub.errors import Unsampleable
 
@@ -235,17 +235,26 @@ def test_run_problem_fits_each_path_node_once(monkeypatch, text):
     result, holdout = benchmark_search(p, cfg, noise, seed=11, n_samples=300)
     assert len(result.best_path) >= 2
 
-    fitted = []
-    real_fit = regress.fit
+    fitted, checked = [], []
+    real_fit, real_recovery = regress.fit, bench.recovery
 
     def counting_fit(ds, spec):
         fitted.append(ds.d)
         return real_fit(ds, spec)
 
+    def counting_recovery(f_true, f_hat):
+        checked.append(f_hat.key)
+        return real_recovery(f_true, f_hat)
+
     monkeypatch.setattr(regress, "fit", counting_fit)
+    monkeypatch.setattr(bench, "recovery", counting_recovery)
     row, _ = run_problem(p, cfg, spec, noise, seed=11, n_samples=300)
     assert row["status"] == "ok"
     assert len(fitted) == len(result.best_path)
+    # one recovery check per distinct model: when the beam arm picks the
+    # root's fit, both arms read that one check
+    assert (row["beam_depth"] == 0) == (text == "x1*x2+x3")
+    assert len(checked) == (1 if row["beam_depth"] == 0 else 2)
 
     expected = arms_fitted_separately(p, spec, result, holdout)
     assert [key for key in row if key.startswith(("base_", "beam_"))] == list(expected)

@@ -50,8 +50,8 @@ def test_ranks_against_quadratic_oracle():
 def test_xi_monotone_closed_form():
     x = np.arange(1.0, 5.0)
     s = chatterjee_xi(x, x)
-    assert s.value == pytest.approx(1 - 3 / 5, abs=1e-15)
-    assert s.value == pytest.approx(0.4)
+    assert s == pytest.approx(1 - 3 / 5, abs=1e-15)
+    assert s == pytest.approx(0.4)
 
 
 def test_xi_constant_y_degenerate():
@@ -65,15 +65,15 @@ def test_xi_matches_direct_formula_and_is_small_for_independent():
     x = rng.uniform(size=n)
     y = rng.permutation(rng.uniform(size=n))
     s = chatterjee_xi(x, y)
-    assert s.value == pytest.approx(xi_direct(x.tolist(), y.tolist()), abs=1e-12)
-    assert abs(s.value) < 0.15
+    assert s == pytest.approx(xi_direct(x.tolist(), y.tolist()), abs=1e-12)
+    assert abs(s) < 0.15
 
 
 def test_nearest_neighbor_map_matches_bruteforce():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(200, 3))
     X[50] = X[10]  # exact duplicate pair
-    got = nearest_neighbors(X).nu
+    got = nearest_neighbors(X)
     exp = nn_bruteforce(X)
     assert np.array_equal(got, exp)
     assert got[50] == 10 or got[10] == 50
@@ -108,7 +108,7 @@ def _tie_heavy_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(_tie_heavy_points())
 def test_nearest_neighbors_matches_bruteforce_property(X):
-    assert np.array_equal(nearest_neighbors(X).nu, nn_bruteforce(X))
+    assert np.array_equal(nearest_neighbors(X), nn_bruteforce(X))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -119,7 +119,7 @@ def test_nearest_neighbors_near_tie_at_relative_1e12(d, rel, expected):
     # tie, and a tie goes to the lower index.
     x = np.array([0.0, -(1.0 + rel), 1.0, 5.0, 9.0])
     X = np.column_stack([x] + [np.zeros_like(x)] * (d - 1))
-    got = nearest_neighbors(X).nu
+    got = nearest_neighbors(X)
     assert np.array_equal(got, nn_bruteforce(X))
     assert got[0] == expected
 
@@ -131,7 +131,7 @@ def test_nearest_neighbors_tie_floor_of_squared_distances(d, tiny):
     # or 1e-177 away ties with an exact duplicate, and the lower index wins
     x = np.array([0.0, 1.0, tiny, 0.0, 2.0])
     X = np.column_stack([x] + [np.zeros_like(x)] * (d - 1))
-    got = nearest_neighbors(X).nu
+    got = nearest_neighbors(X)
     assert np.array_equal(got, nn_bruteforce(X))
     assert got[0] == 2
 
@@ -140,7 +140,7 @@ def test_nearest_neighbors_one_column_ties_and_duplicates():
     rng = np.random.default_rng(43)
     x = rng.integers(0, 60, size=400).astype(float)  # every value repeated
     x[::17] += rng.uniform(size=len(x[::17]))
-    got = nearest_neighbors(x[:, None]).nu
+    got = nearest_neighbors(x[:, None])
     assert np.array_equal(got, nn_bruteforce(x[:, None]))
 
 
@@ -150,9 +150,9 @@ def test_precomputed_neighbor_map_gives_identical_scores():
         X = rng.uniform(size=(300, d))
         y = np.cos(3 * X[:, 0]) + 0.2 * rng.normal(size=300)
         nn = neighbor_map(X)
-        assert codec(X, y, nn=nn).value == codec(X, y).value
-        assert codec(X, y, form="rewritten", nn=nn).value == codec(X, y, form="rewritten").value
-        assert kmac(X, y, nn=nn).value == kmac(X, y).value
+        assert codec(X, y, nn=nn) == codec(X, y)
+        assert codec(X, y, form="rewritten", nn=nn) == codec(X, y, form="rewritten")
+        assert kmac(X, y, nn=nn) == kmac(X, y)
     with pytest.raises(ValueError):
         codec(X[:-1], y[:-1], nn=nn)
 
@@ -162,12 +162,12 @@ def test_codec_functional_vs_independent():
     X = rng.uniform(size=(500, 2))
     y = X[:, 0] ** 2 + X[:, 1]
     s = codec(X, y)
-    assert s.value > 0.8
-    assert s.value == pytest.approx(codec_direct(X, y), abs=1e-12)
+    assert s > 0.8
+    assert s == pytest.approx(codec_direct(X, y), abs=1e-12)
     y_ind = rng.normal(size=500)
     s2 = codec(X, y_ind)
-    assert abs(s2.value) < 0.15
-    assert s2.value == pytest.approx(codec_direct(X, y_ind), abs=1e-12)
+    assert abs(s2) < 0.15
+    assert s2 == pytest.approx(codec_direct(X, y_ind), abs=1e-12)
 
 
 def test_codec_both_forms_agree():
@@ -177,8 +177,8 @@ def test_codec_both_forms_agree():
         d = 1 + trial % 3
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n) if trial % 2 else X[:, 0] + rng.normal(size=n) * 0.1
-        a = codec(X, y, form="min").value
-        b = codec(X, y, form="rewritten").value
+        a = codec(X, y, form="min")
+        b = codec(X, y, form="rewritten")
         assert abs(a - b) <= 1e-12
 
 
@@ -193,8 +193,8 @@ def test_rank_measures_invariant_under_monotone_y_transform():
     X = rng.uniform(size=(300, 2))
     y = np.sin(X[:, 0]) + X[:, 1]
     y2 = y ** 3 + y  # strictly increasing
-    assert codec(X, y).value == codec(X, y2).value
-    assert chatterjee_xi(X[:, 0], y).value == chatterjee_xi(X[:, 0], y2).value
+    assert codec(X, y) == codec(X, y2)
+    assert chatterjee_xi(X[:, 0], y) == chatterjee_xi(X[:, 0], y2)
 
 
 def test_codec_invariant_under_row_permutation():
@@ -202,7 +202,7 @@ def test_codec_invariant_under_row_permutation():
     X = rng.uniform(size=(300, 3))
     y = X[:, 0] * X[:, 1] + X[:, 2]
     perm = rng.permutation(300)
-    assert codec(X, y).value == codec(X[perm], y[perm]).value
+    assert codec(X, y) == codec(X[perm], y[perm])
 
 
 def test_scores_nondecreasing_in_sample_size():
@@ -212,8 +212,8 @@ def test_scores_nondecreasing_in_sample_size():
     for n in (100, 500, 2000):
         X = rng.uniform(size=(n, 2))
         y = X[:, 0] * X[:, 1]
-        vals_codec.append(codec(X, y).value)
-        vals_xi.append(chatterjee_xi(X[:, 0], X[:, 0] ** 2 + 1).value)
+        vals_codec.append(codec(X, y))
+        vals_xi.append(chatterjee_xi(X[:, 0], X[:, 0] ** 2 + 1))
     assert vals_codec == sorted(vals_codec)
     assert vals_xi == sorted(vals_xi)
 
@@ -223,10 +223,10 @@ def test_kmac_functional_and_independent():
     X = rng.uniform(size=(500, 2))
     y = np.cos(X[:, 0]) * X[:, 1]
     s = kmac(X, y)
-    assert s.value > 0.8
+    assert s > 0.8
     y_ind = rng.normal(size=500)
     s2 = kmac(X, y_ind)
-    assert abs(s2.value) < 0.2
+    assert abs(s2) < 0.2
 
 
 def test_kmac_matches_direct_oracle():
@@ -235,7 +235,7 @@ def test_kmac_matches_direct_oracle():
     y = X[:, 0] + 0.3 * rng.normal(size=150)
     bw = default_bandwidth(y)
     s = kmac(X, y, bandwidth=bw)
-    assert s.value == pytest.approx(kmac_direct(X, y, bw), abs=1e-10)
+    assert s == pytest.approx(kmac_direct(X, y, bw), abs=1e-10)
 
 
 def test_kmac_constant_y_degenerate():
@@ -247,7 +247,7 @@ def test_kmac_constant_y_degenerate():
 def test_volume_collinear_points_score_one():
     x = np.linspace(0.0, 1.0, 10)[:, None]
     s = volume_score(x, x[:, 0])
-    assert s.value == pytest.approx(1.0, abs=1e-12)
+    assert s == pytest.approx(1.0, abs=1e-12)
 
 
 def test_volume_unit_square_determinant():
@@ -277,4 +277,4 @@ def test_volume_score_orders_functional_above_noise():
     X = rng.uniform(size=(400, 2))
     y_fun = X[:, 0] + X[:, 1]
     y_ind = rng.uniform(-2, 2, size=400)
-    assert volume_score(X, y_fun).value > volume_score(X, y_ind).value
+    assert volume_score(X, y_fun) > volume_score(X, y_ind)

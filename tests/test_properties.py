@@ -248,9 +248,14 @@ def test_codec_forms_agree_with_ties_and_duplicate_rows(data, n, d):
     X = data.draw(arrays(np.float64, (n, d), elements=value))
     y = data.draw(arrays(np.float64, n, elements=value))
     assume(len(np.unique(y)) > 1)
-    assert codec(X, y, form="min").value == codec(X, y, form="rewritten").value
+    assert codec(X, y, form="min") == codec(X, y, form="rewritten")
 
 
+# outputs whose sum of squares is normal, falls below the normal range
+# although they are not zero, overflows, or any of these
+_NORMAL, _TINY = st.floats(-1e150, 1e150), st.floats(-1e-155, 1e-155)
+_HUGE = st.floats(1e155, 1e300).flatmap(lambda v: st.sampled_from((v, -v)))
+_OUTPUTS = (_NORMAL, _TINY, _HUGE, st.one_of(_NORMAL, _TINY, _HUGE))
 _PREDICTION = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from((np.nan, np.inf, -np.inf)),
                         st.floats(0.5e200, 2e200).flatmap(lambda v: st.sampled_from((v, -v))))
@@ -259,9 +264,8 @@ _PREDICTION = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 40))
 def test_nrmse_bitwise_equal_to_masked_oracle_on_generated_inputs(data, n):
-    y = data.draw(arrays(np.float64, n, elements=st.floats(-1e150, 1e150)))
-    total = float(np.sum(y * y))
-    assume(np.isfinite(total) and total != 0.0)
+    y = data.draw(arrays(np.float64, n, elements=data.draw(st.sampled_from(_OUTPUTS))))
+    assume(y.any())
     yhat = data.draw(arrays(np.float64, n, elements=st.one_of(_PREDICTION, st.sampled_from(y))))
     got = np.float64(nrmse(y, yhat))
     want = np.float64(nrmse_masked(y, yhat))
@@ -385,5 +389,5 @@ def test_non_integer_constant_goes_to_rewrite_chain(monkeypatch):
     monkeypatch.setattr(symbolic, "_escalate", counting)
     s = simplify(parse("x1*0.5+x2"))
     assert symbolic.to_sympy(s).has(sp.Float)
-    assert symbolic._symbolic_dependence.__wrapped__(s, (0,)) is True
+    assert symbolic._symbolic_dependence(s, (0,)) is True
     assert len(runs) == 1

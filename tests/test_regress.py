@@ -2,6 +2,7 @@
 
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ def test_nrmse_when_sum_of_squares_overflows():
     assert regress._fit_error(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_nrmse_when_sum_of_squares_underflows():
+    # sum(y * y) is 0 or subnormal here though y is not zero; the ratio is
+    # computed on y / max|y|, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nrmse([1e-170], [0.0]) == 1.0
+        # the scaled squared error overflows, so the row costs the penalty
+        assert nrmse([1e-160], [1.0]) == 10.0
+        y = np.array([1e-160, 2e-160, 3e-160])
+        total = float(np.sum(y * y))
+        assert 0.0 < total < sys.float_info.min
+        assert nrmse(y, 0.5 * y) == pytest.approx(0.5, rel=1e-12)
+        assert regress._fit_error(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
+        assert regress._fit_error(y[:1], y[:1], 0.0) == 0.0
+        assert regress._fit_error(np.zeros(3), y, 0.0) == regress.NONFINITE_PENALTY
+
+
 def test_nrmse_degenerate():
     with pytest.raises(DegenerateY):
         nrmse(np.zeros(3), np.ones(3))
@@ -169,6 +187,21 @@ def test_dagsearch_skeleton_stream_matches_enumeration():
     direct = list(enumerate_dags(1, budget))
     cached = _skeletons(1, budget, 10_000)
     assert [d.key for d in cached[: len(direct)]] == [d.key for d in direct]
+
+
+def test_skeleton_cache_keys_on_allow_constants(monkeypatch):
+    from srsub.grammar import DEFAULT_OPS, enumerate_dags
+    from srsub.regress import _skeletons
+
+    monkeypatch.setattr(regress, "_skeleton_cache", {})
+    plain = GrammarBudget(max_intermediary_nodes=0, allow_constants=False)
+    with_constants = GrammarBudget(max_intermediary_nodes=0, allow_constants=True)
+    assert len(_skeletons(1, plain, 100)) == 9
+    assert [d.key for d in _skeletons(1, with_constants, 100)] == [
+        d.key for d in enumerate_dags(1, with_constants)]
+    # a budget built from a plain set is the same cache key
+    same = GrammarBudget(max_intermediary_nodes=0, allowed_ops=set(DEFAULT_OPS))
+    assert _skeletons(1, same, 100) is _skeletons(1, plain, 100)
 
 
 def test_dagsearch_constant_fallback():
@@ -331,10 +364,7 @@ def test_pipeline_constant_function_resolved_at_root():
     X = rng.uniform(1, 2, size=(200, 2))
     y = np.full(200, 5.0)
     ds = Dataset.from_arrays(X, y)
-    root = SearchNode(dataset=ds, score=None)
-    from srsub.depmeasure import DependenceScore
-
-    root.score = DependenceScore(float("-inf"), "codec")
+    root = SearchNode(dataset=ds, score=float("-inf"))
     result = SearchResult(best_path=[root], all_levels=[])
     sol = solve_pipeline(result, RegressorSpec(kind="poly"),
                          ds.restrict_rows(holdout_mask(ds.n, 0.2, seed=1)))[0]

@@ -187,9 +187,9 @@ def test_apply_outinput_constant_output_is_scorable_reject():
 
 def test_valid_input_sub_keeps_codec_score():
     ds = _washburn_dataset(n=600, seed=9)
-    before = codec(ds.X, ds.y).value
+    before = codec(ds.X, ds.y)
     out = apply_input(ds, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
-    after = codec(out.X, out.y).value
+    after = codec(out.X, out.y)
     assert after >= before - 0.05
 
 

@@ -37,17 +37,14 @@ def test_depends_inconclusive_on_branch_mismatch():
 
 
 def test_depends_on_memoized_verdict_keeps_rng_stream():
-    # the second call reuses the CAS verdict but still draws its numeric
-    # check from the caller's generator, exactly as the first call did
+    # a repeated call draws its numeric check from the caller's generator
+    # exactly as the first call did
     dag = parse("(x1*x2*x3+x1*(x2+log(x2))/x3)/x1+x4")
-    symbolic._symbolic_dependence.cache_clear()
     streams = []
     for _ in range(2):
         rng = np.random.default_rng(5)
         assert depends_on(dag, {0, 3}, rng=rng) is True
         streams.append(rng.random(4))
-    info = symbolic._symbolic_dependence.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
     np.testing.assert_array_equal(streams[0], streams[1])
 
 
@@ -92,6 +89,15 @@ def test_equivalent_rejects_zero_ratio():
     assert not equivalent(parse("x1"), zero)
 
 
+def test_equivalent_is_false_for_a_model_sympy_cannot_build():
+    # sympy folds exp(exp(1e20)) to an integer too large to hold
+    huge = parse("x1+exp(exp(1e20))")
+    with pytest.raises(OverflowError):
+        symbolic.to_sympy(huge)
+    assert equivalent(huge, parse("x1")) is False
+    assert equivalent(parse("x1"), huge) is False
+
+
 def test_equivalent_reflexive_symmetric_on_random_corpus():
     from srsub import GrammarBudget, enumerate_dags
 
@@ -113,11 +119,11 @@ def _enumeration_queries(monkeypatch, budget):
     """Every (simplified dag, targets) query that candidate enumeration under
     `budget` makes of the CAS verdict, enumerating from an empty cache."""
     queries = []
-    memoized = symbolic._symbolic_dependence
+    verdict = symbolic._symbolic_dependence
 
     def recording(s, targets):
         queries.append((s, targets))
-        return memoized(s, targets)
+        return verdict(s, targets)
 
     monkeypatch.setattr(substitution, "_dag_cache", {})
     monkeypatch.setattr(symbolic, "_symbolic_dependence", recording)
@@ -134,7 +140,7 @@ def test_witness_verdicts_equal_rewrite_chain_verdicts(monkeypatch):
     budgets = [GrammarBudget(), GrammarBudget(max_intermediary_nodes=0),
                GrammarBudget(allowed_ops=frozenset({"+", "-", "*", "/"})),
                GrammarBudget(allowed_ops=frozenset(OPS))]
-    verdict = symbolic._symbolic_dependence.__wrapped__  # not memoized
+    verdict = symbolic._symbolic_dependence
     queries = set()
     for budget in budgets:
         queries.update(_enumeration_queries(monkeypatch, budget))
@@ -154,9 +160,9 @@ def test_default_enumeration_runs_rewrite_chain_at_most_four_times(monkeypatch):
         return escalate(expr)
 
     monkeypatch.setattr(symbolic, "_escalate", counting)
-    symbolic._symbolic_dependence.cache_clear()
     queries = _enumeration_queries(monkeypatch, GrammarBudget())
     assert len(queries) == 236
+    assert len(set(queries)) == 236  # no question is asked twice
     assert len(runs) <= 4, runs
 
 
