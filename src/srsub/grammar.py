@@ -5,6 +5,15 @@ A dag in the search space has one output operator node and at most
 variables, optionally fresh constant placeholders, and previously defined
 operator nodes.  Structural duplicates (after node deduplication and
 commutative-argument canonicalization) are emitted once.
+
+Dags are enumerated as programs, one node at a time.  A program counts only
+if its last node reaches every node, which holds iff every earlier node is
+an operand of a later one, and if its nodes are distinct expressions.  The
+recursion carries the nodes no later node uses yet and cuts a prefix as
+soon as the operand slots left cannot cover them, or as soon as a node
+repeats an earlier one.  All programs with the same operator count share
+one `DagBuilder`, so each node is interned once per prefix, a repeated root
+is skipped by its id, and only new dags are snapshotted.
 """
 
 from __future__ import annotations
@@ -64,69 +73,79 @@ def _node_specs(arity: int, defined: int, budget: GrammarBudget) -> Iterator[tup
 
 
 def enumerate_dags(arity: int, budget: GrammarBudget) -> Iterator[ExprDag]:
-    """Yield structurally distinct dags, smallest operator count first."""
+    """Yield structurally distinct dags, smallest operator count first.
+
+    Within an operator count the order is that of the programs: node by
+    node, each node's spec in `_node_specs` order.  A program is kept when
+    its last node reaches every node and no two nodes are the same
+    expression; `_class_roots` prunes the others in the recursion, so they
+    are never built.  A kept program yields its dag unless an earlier
+    program built the same one.  Within a class, equal dags have equal root
+    ids unless they have two or more placeholders, which renumbering can
+    make equal; dags of different classes differ in operator count.
+    """
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    seen: set[str] = set()
+    renumbered: set[str] = set()
     for k in range(budget.max_intermediary_nodes + 1):
-        for spec in _enumerate_programs(arity, k, budget):
-            dag = _build_program(spec, arity)
-            if dag is None:
-                continue
-            if dag.op_count() != k + 1:
-                continue  # collapsed into a smaller budget class
-            dag = _renumber_placeholders(dag)
-            if dag.key in seen:
-                continue
-            seen.add(dag.key)
+        for b, root, n_params in _class_roots(arity, k, budget):
+            dag = b.extract(root, arity)
+            if n_params >= 2:  # with fewer, renumbering is the identity
+                dag = _renumber_placeholders(dag)
+                if dag.key in renumbered:
+                    continue
+                renumbered.add(dag.key)
             yield dag
 
 
-def _enumerate_programs(arity: int, k: int, budget: GrammarBudget) -> Iterator[list[tuple]]:
-    def rec(defined: int, acc: list[tuple]) -> Iterator[list[tuple]]:
-        if defined == k + 1:
-            yield acc
-            return
-        for spec in _node_specs(arity, defined, budget):
-            yield from rec(defined + 1, acc + [spec])
+def _class_roots(arity: int, k: int, budget: GrammarBudget) -> Iterator[tuple[DagBuilder, int, int]]:
+    """(builder, root id, placeholder count) of each program of k + 1 nodes
+    whose last node reaches every node and whose nodes are k + 1 distinct
+    expressions, in program order, skipping roots already yielded.
 
-    yield from rec(0, [])
-
-
-def _build_program(specs: list[tuple], arity: int) -> ExprDag | None:
-    # reachability: the output node must use every intermediary node
-    used: set[int] = set()
-    stack = [("n", len(specs) - 1)]
-    deps: list[list[tuple]] = [list(spec[1:]) for spec in specs]
-    while stack:
-        kind = stack.pop()
-        if kind[0] != "n" or kind[1] in used:
-            continue
-        used.add(kind[1])
-        stack.extend(deps[kind[1]])
-    if len(used) != len(specs):
-        return None
-
+    One builder interns the nodes of every program in the class, each node
+    once per prefix.  Placeholders are named c0, c1, ... in spec order, left
+    operand first.  Hash-consing and commutative ordering are structural,
+    so node ids and keys are those that a builder per program would give.
+    """
     b = DagBuilder()
-    const_counter = 0
-    node_ids: list[int] = []
+    variables = [b.var(i) for i in range(arity)]
+    width = 2 if budget.allowed_ops & set(BINARY_OPS) else 1
+    # per node position: (op, operand tokens, mask of the node operands)
+    levels = [[(spec[0], spec[1:], sum(1 << t[1] for t in set(spec[1:]) if t[0] == "n"))
+               for spec in _node_specs(arity, j, budget)] for j in range(k + 1)]
+    roots: set[int] = set()
 
-    def operand(tok: tuple) -> int:
-        nonlocal const_counter
-        if tok[0] == "v":
-            return b.var(tok[1])
-        if tok[0] == "c":
-            const_counter += 1
-            return b.param(f"c{const_counter - 1}")
-        return node_ids[tok[1]]
+    def rec(ids: list[int], n_params: int, unused: int) -> Iterator[tuple[DagBuilder, int, int]]:
+        # `unused`: mask of the nodes so far that no later node takes as operand
+        j = len(ids)
+        for op, toks, refs in levels[j]:
+            uncovered = unused & ~refs
+            if j == k:
+                if uncovered:
+                    continue  # some node stays unreached
+            elif (uncovered | 1 << j).bit_count() > width * (k - j):
+                continue  # more unused nodes than operand slots left
+            args = []
+            count = n_params
+            for t in toks:
+                if t[0] == "v":
+                    args.append(variables[t[1]])
+                elif t[0] == "c":
+                    args.append(b.param(f"c{count}"))
+                    count += 1
+                else:
+                    args.append(ids[t[1]])
+            nid = b.binary(op, *args) if len(args) == 2 else b.unary(op, *args)
+            if nid in ids:
+                continue  # collapses into fewer operator nodes
+            if j < k:
+                yield from rec(ids + [nid], count, uncovered | 1 << j)
+            elif nid not in roots:
+                roots.add(nid)
+                yield b, nid, count
 
-    for spec in specs:
-        op = spec[0]
-        if len(spec) == 3:
-            node_ids.append(b.binary(op, operand(spec[1]), operand(spec[2])))
-        else:
-            node_ids.append(b.unary(op, operand(spec[1])))
-    return b.extract(node_ids[-1], arity)
+    yield from rec([], 0, 0)
 
 
 def _renumber_placeholders(dag: ExprDag) -> ExprDag:

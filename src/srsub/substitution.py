@@ -27,7 +27,6 @@ from .simplify import simplify
 MAX_ROW_DROP_FRACTION = 0.2
 NEAR_CONSTANT_REL_STD = 1e-10
 CANDIDATE_CAP = 50_000
-_VALIDATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,18 +127,6 @@ class Dataset:
             origin_y=self.origin_y[mask],
             origin_rows=self.origin_rows[mask],
         )
-
-    def validate(self) -> None:
-        """Check that re-evaluating the maps on the original rows reproduces
-        the current columns."""
-        base = np.column_stack([self.origin_X, self.origin_y])
-        for i, vm in enumerate(self.var_map):
-            got = evaluate(vm, self.origin_X)
-            if not np.allclose(got, self.X[:, i], rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
-                raise AssertionError(f"var_map[{i}] does not reproduce column {i}")
-        got = evaluate(self.y_map, base)
-        if not np.allclose(got, self.y, rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
-            raise AssertionError("y_map does not reproduce the output column")
 
 
 # -- candidate generation -----------------------------------------------------

@@ -2,17 +2,20 @@
 
 Everything here is deliberately written with a different algorithm than the
 code under test: quadratic-time counting instead of sorting, exhaustive tree
-enumeration instead of program enumeration, cofactor expansion instead of
-LAPACK, direct formula transcriptions instead of vectorized rewrites.
+enumeration instead of program enumeration, every program built in its own
+builder instead of pruned prefixes in a shared one, cofactor expansion
+instead of LAPACK, direct formula transcriptions instead of vectorized
+rewrites.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from srsub.dag import OPS, Const, DagBuilder, Unary, Var
+from srsub.dag import BINARY_OPS, OPS, UNARY_OPS, Binary, Const, DagBuilder, Unary, Var, evaluate
 from srsub.grammar import GrammarBudget
 
 # -- quadratic-time ranks ------------------------------------------------------
@@ -270,6 +273,128 @@ def enumerate_by_trees(arity: int, budget: GrammarBudget) -> set[str]:
         if 1 <= dag.op_count() <= m + 1:
             keys.add(dag.key)
     return keys
+
+
+# -- dataset maps re-evaluated on the original rows --------------------------------
+
+_VALIDATE_TOL = 1e-9
+
+
+def validate_dataset(ds) -> None:
+    """Check that re-evaluating the maps of a `Dataset` on its original rows
+    reproduces its current columns."""
+    base = np.column_stack([ds.origin_X, ds.origin_y])
+    for i, vm in enumerate(ds.var_map):
+        got = evaluate(vm, ds.origin_X)
+        if not np.allclose(got, ds.X[:, i], rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
+            raise AssertionError(f"var_map[{i}] does not reproduce column {i}")
+    got = evaluate(ds.y_map, base)
+    if not np.allclose(got, ds.y, rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
+        raise AssertionError("y_map does not reproduce the output column")
+
+
+# -- program enumeration with one builder per program -----------------------------
+
+
+def _programs(arity: int, k: int, budget: GrammarBudget):
+    """Every program of k + 1 operator nodes, in grammar order: node j takes
+    its operands from the variables, a fresh constant ("c",) and nodes < j."""
+    def pool(defined):
+        out = [("v", i) for i in range(arity)]
+        if budget.allow_constants:
+            out.append(("c",))
+        return out + [("n", j) for j in range(defined)]
+
+    def specs(defined):
+        for op in BINARY_OPS:
+            if op in budget.allowed_ops:
+                for a in pool(defined):
+                    for b in pool(defined):
+                        if not a == b == ("c",):
+                            yield (op, a, b)
+        for op in UNARY_OPS:
+            if op in budget.allowed_ops:
+                for a in pool(defined):
+                    if a != ("c",):
+                        yield (op, a)
+
+    def rec(acc):
+        if len(acc) == k + 1:
+            yield acc
+            return
+        for spec in specs(len(acc)):
+            yield from rec(acc + [spec])
+
+    yield from rec([])
+
+
+def _build_program(specs, arity: int):
+    """The program's dag in a fresh builder, placeholders named c0, c1, ...
+    in spec order, or None when the last node does not reach every node."""
+    used = set()
+    stack = [len(specs) - 1]
+    while stack:
+        j = stack.pop()
+        if j not in used:
+            used.add(j)
+            stack.extend(tok[1] for tok in specs[j][1:] if tok[0] == "n")
+    if len(used) != len(specs):
+        return None
+    b = DagBuilder()
+    ids = []
+    names = (f"c{i}" for i in itertools.count())
+
+    def operand(tok):
+        if tok[0] == "v":
+            return b.var(tok[1])
+        if tok[0] == "c":
+            return b.param(next(names))
+        return ids[tok[1]]
+
+    for op, *args in specs:
+        args = [operand(tok) for tok in args]
+        ids.append(b.binary(op, *args) if len(args) == 2 else b.unary(op, *args))
+    return b.extract(ids[-1], arity)
+
+
+def _renumbered(dag):
+    """`dag` with placeholders renamed c0, c1, ... by first occurrence in a
+    left-first walk from the root."""
+    order = []
+
+    def visit(nid):
+        node = dag.nodes[nid]
+        if isinstance(node, Const) and node.is_placeholder and node.name not in order:
+            order.append(node.name)
+        elif isinstance(node, Unary):
+            visit(node.child)
+        elif isinstance(node, Binary):
+            visit(node.left)
+            visit(node.right)
+
+    visit(dag.root)
+    if order == [f"c{i}" for i in range(len(order))]:
+        return dag
+    b = DagBuilder()
+    names = {name: f"c{i}" for i, name in enumerate(order)}
+    return b.extract(b.copy_from(dag, param=lambda name: b.param(names[name])), dag.arity)
+
+
+def enumerate_by_programs(arity: int, budget: GrammarBudget):
+    """Yield the grammar's dags the slow way: build every program in its own
+    builder, drop the ones that leave a node unreached or collapse into a
+    smaller operator count, renumber the placeholders and drop repeated
+    keys."""
+    seen = set()
+    for k in range(budget.max_intermediary_nodes + 1):
+        for specs in _programs(arity, k, budget):
+            dag = _build_program(specs, arity)
+            if dag is None or dag.op_count() != k + 1:
+                continue
+            dag = _renumbered(dag)
+            if dag.key not in seen:
+                seen.add(dag.key)
+                yield dag
 
 
 # -- benchmark arms with the root fitted twice ------------------------------------

@@ -4,10 +4,12 @@ Dags are drawn as random programs over the operators in `OPS`, with
 variables, numeric constants and placeholders as leaves.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +21,7 @@ from srsub import (
     OutInputSub,
     codec,
     depends_on,
+    enumerate_dags,
     nrmse,
     search,
     simplify,
@@ -38,9 +41,10 @@ from srsub.dag import (
     variable,
 )
 from srsub.errors import Inconclusive
+from srsub.grammar import DEFAULT_OPS
 from srsub.exprtext import parse, to_text
 
-from oracles import evaluate_nodewise, nrmse_masked
+from oracles import enumerate_by_programs, evaluate_nodewise, nrmse_masked, validate_dataset
 
 _CONSTANTS = (0.5, 1.0, 2.0, -3.0, 2.5066282746310002, 1e-3, 1e20)
 
@@ -317,13 +321,13 @@ def _search_samples(f, seed, n=60):
 
 
 def _validate_every_node(ds):
-    """Run a search and check `Dataset.validate` on every surviving node;
+    """Run a search and check `validate_dataset` on every surviving node;
     the (kind, rows dropped) pairs of their edges."""
     result = search(ds, BeamConfig(beam_size=3, budget=_SEARCH_BUDGET))
     seen = set()
     for level in result.all_levels:
         for node in level:
-            node.dataset.validate()
+            validate_dataset(node.dataset)
             seen.add((type(node.edge), node.dataset.drop_fraction > 0))
     return seen
 
@@ -391,3 +395,27 @@ def test_non_integer_constant_goes_to_rewrite_chain(monkeypatch):
     assert symbolic.to_sympy(s).has(sp.Float)
     assert symbolic._symbolic_dependence(s, (0,)) is True
     assert len(runs) == 1
+
+
+# -- dag enumeration --------------------------------------------------------------
+
+_STREAM_PREFIX = 3_000
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(arity=st.integers(1, 3), m=st.integers(0, 2),
+       ops=st.sets(st.sampled_from(sorted(DEFAULT_OPS)), min_size=1),
+       allow_constants=st.booleans())
+@example(arity=1, m=2, ops=DEFAULT_OPS, allow_constants=True)
+@example(arity=3, m=2, ops=DEFAULT_OPS, allow_constants=True)
+@example(arity=2, m=2, ops={"sqrt", "exp"}, allow_constants=True)
+def test_enumerate_dags_equals_program_oracle_in_order(arity, m, ops, allow_constants):
+    # regress._skeletons keeps a prefix of the stream, so the order must
+    # match as well as the set
+    budget = GrammarBudget(max_intermediary_nodes=m, allowed_ops=ops,
+                           allow_constants=allow_constants)
+
+    def prefix(dags):
+        return [(d.key, d.nodes, d.root, d.arity) for d in itertools.islice(dags, _STREAM_PREFIX)]
+
+    assert prefix(enumerate_dags(arity, budget)) == prefix(enumerate_by_programs(arity, budget))

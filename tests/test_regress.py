@@ -1,5 +1,6 @@
 """Regressors: polynomial, dag-skeleton search, external bridge, pipeline."""
 
+import hashlib
 import sys
 import textwrap
 import warnings
@@ -187,6 +188,22 @@ def test_dagsearch_skeleton_stream_matches_enumeration():
     direct = list(enumerate_dags(1, budget))
     cached = _skeletons(1, budget, 10_000)
     assert [d.key for d in cached[: len(direct)]] == [d.key for d in direct]
+
+
+@pytest.mark.parametrize("arity, length, digest", [
+    (1, 9_489, "65591d241c3cfb8ea0d6a05a11bd35c83ca41f86cdc4dfa837a19f5ca8866434"),
+    (2, 10_000, "a24ef528a001d471276a6c9e51e0be12deed16eabbd82d9a77d54ee697195f4b"),
+    (3, 10_000, "11296c7035478adb3d86a34446a8ed8728f8fb0d09b6e7a5b64f4f743c671248"),
+])
+def test_default_skeleton_stream_unchanged(arity, length, digest):
+    # recorded while every program was built in its own DagBuilder; the cap
+    # keeps a prefix, so the order is pinned along with the dags
+    from srsub.regress import _skeletons
+
+    budget = GrammarBudget(max_intermediary_nodes=2, allow_constants=True)
+    stream = [(d.key, d.nodes, d.root, d.arity) for d in _skeletons(arity, budget, 10_000)]
+    assert len(stream) == length
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
 
 
 def test_skeleton_cache_keys_on_allow_constants(monkeypatch):
