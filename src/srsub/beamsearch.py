@@ -231,7 +231,7 @@ def trace_records(result: SearchResult) -> list[dict]:
                     "substitution": substitution_text(node.edge),
                     "score": node.score,
                     "n_vars": node.n_vars,
-                    "rows_dropped": node.dataset.drop_fraction,
+                    "rows_dropped": 1 - node.dataset.n / node.parent.dataset.n,
                 }
             )
     return records

@@ -132,18 +132,18 @@ class DagBuilder:
         self.nodes: list[Node] = []
         self._keys: list[str] = []
         self._order: list[tuple[int, str]] = []
-        self._index: dict[tuple, int] = {}
+        self._index: dict[str, int] = {}
 
     def _intern(self, node: Node, key: str, rank: int) -> int:
-        idx_key = (type(node).__name__, *node.__dict__.values())
-        hit = self._index.get(idx_key)
+        # structural keys are injective, so the key alone identifies a node
+        hit = self._index.get(key)
         if hit is not None:
             return hit
         nid = len(self.nodes)
         self.nodes.append(node)
         self._keys.append(key)
         self._order.append((rank, key))
-        self._index[idx_key] = nid
+        self._index[key] = nid
         return nid
 
     def key(self, nid: int) -> str:

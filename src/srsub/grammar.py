@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .dag import BINARY_OPS, OPS, UNARY_OPS, Binary, Const, DagBuilder, ExprDag, Unary
+from .dag import BINARY_OPS, OPS, UNARY_OPS, DagBuilder, ExprDag
 
 DEFAULT_OPS = frozenset({"+", "-", "*", "/", "sqrt", "log", "exp", "sin", "cos"})
 
@@ -149,25 +149,11 @@ def _class_roots(arity: int, k: int, budget: GrammarBudget) -> Iterator[tuple[Da
 
 
 def _renumber_placeholders(dag: ExprDag) -> ExprDag:
-    """Rename placeholders by first occurrence in a canonical traversal so
-    structurally equal skeletons share one key."""
-    names = dag.placeholders()
-    if not names:
-        return dag
-    order: list[str] = []
-
-    def visit(nid: int) -> None:
-        node = dag.nodes[nid]
-        if isinstance(node, Const) and node.is_placeholder and node.name not in order:
-            order.append(node.name)
-        elif isinstance(node, Unary):
-            visit(node.child)
-        elif isinstance(node, Binary):
-            visit(node.left)
-            visit(node.right)
-
-    visit(dag.root)
-    mapping = {name: f"c{i}" for i, name in enumerate(order)}
+    """Rename placeholders c0, c1, ... by first occurrence in a left-first
+    traversal so structurally equal skeletons share one key.  An extracted
+    dag lists its nodes in left-first post-order, so `placeholders()`
+    already names them in that order."""
+    mapping = {name: f"c{i}" for i, name in enumerate(dag.placeholders())}
     if all(k == v for k, v in mapping.items()):
         return dag
     b = DagBuilder()

@@ -30,6 +30,8 @@ from .simplify import complexity
 from .substitution import Dataset
 
 NONFINITE_PENALTY = 10.0
+# fit_dagsearch refines the constants of this many best skeletons
+REFINE_TOP = 200
 
 
 @dataclass(frozen=True)
@@ -231,9 +233,10 @@ def _refine_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarr
 
 
 def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
-                  max_skeletons: int = 10_000, refine_top: int = 200) -> ExprDag:
+                  max_skeletons: int = 10_000) -> ExprDag:
     """Enumerate dag skeletons with constant placeholders, fit the constants,
-    and return the minimum-NRMSE expression (ties to lower complexity).
+    refine those of the `REFINE_TOP` best skeletons, and return the
+    minimum-NRMSE expression (ties to lower complexity).
 
     The worst case is the constant model y = mean.
     """
@@ -264,7 +267,7 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
             candidates.append((err, pos, theta))
 
     candidates.sort(key=lambda item: (item[0], item[1]))
-    for err, pos, theta in candidates[:refine_top]:
+    for err, pos, theta in candidates[:REFINE_TOP]:
         expr = skeletons[pos]
         if theta is not None:
             names = expr.placeholders()
@@ -348,11 +351,14 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) 
     The list holds one entry per node that yields a usable model, in
     ascending test NRMSE and in path order among equal errors, so `[0]` is
     the earliest node with the least error.  `holdout` holds the test rows
-    of the problem's sample, as `restrict_rows` of the full or root dataset;
-    its original coordinates are the test data.  Each node is fitted on its
-    rows minus the holdout rows, so no fit sees a test row; a node left with
-    fewer than 3 rows is skipped.
+    of the problem's sample, as `restrict_rows` of the full or root dataset,
+    and its `X` and `y` are the test data; a holdout with substituted
+    columns raises ValueError.  Each node is fitted on its rows minus the
+    holdout rows, so no fit sees a test row; a node left with fewer than 3
+    rows is skipped.
     """
+    if holdout.d != holdout.d_original:
+        raise ValueError("holdout must be rows of the original, unsubstituted dataset")
     fits: list[SolveResult] = []
     for node in result.best_path:
         train = ~np.isin(node.dataset.origin_rows, holdout.origin_rows)
@@ -361,7 +367,7 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) 
         try:
             sol = fit(node.dataset.restrict_rows(train), spec)
             expr = reconstruct(node.dataset, sol)
-            err = nrmse(holdout.origin_y, evaluate(expr, holdout.origin_X))
+            err = nrmse(holdout.y, evaluate(expr, holdout.X))
         except (NotSolvable, DegenerateY, ExternalFailure, ValueError):
             continue
         fits.append(SolveResult(expr=expr, nrmse_test=err, complexity=complexity(expr),

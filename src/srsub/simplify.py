@@ -250,19 +250,5 @@ def subexpressions(dag: ExprDag) -> set[ExprDag]:
     """
     s = simplify(dag)
     b = DagBuilder()
-    root = b.copy_from(s)
-    ids: set[int] = set()
-
-    def visit(nid: int) -> None:
-        if nid in ids:
-            return
-        ids.add(nid)
-        node = b.nodes[nid]
-        if isinstance(node, Unary):
-            visit(node.child)
-        elif isinstance(node, Binary):
-            visit(node.left)
-            visit(node.right)
-
-    visit(root)
-    return {b.extract(nid, s.arity) for nid in ids}
+    b.copy_from(s)  # every node of a snapshot is reachable from its root
+    return {b.extract(nid, s.arity) for nid in range(len(b.nodes))}

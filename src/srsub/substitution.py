@@ -71,19 +71,16 @@ class Dataset:
 
     var_map[i] describes column i as an expression over the original inputs;
     y_map describes the current output over the original inputs plus the
-    original output in its last slot.  origin_X/origin_y hold the original
-    coordinates of the surviving rows, origin_rows their row indices in the
-    problem's full sample.
+    original output in its last slot.  origin_rows holds the surviving rows'
+    indices in the problem's full sample; a node keeps only these, and the
+    sample itself holds the original coordinates.
     """
 
     X: np.ndarray
     y: np.ndarray
     var_map: tuple[ExprDag, ...]
     y_map: ExprDag
-    origin_X: np.ndarray
-    origin_y: np.ndarray
     origin_rows: np.ndarray
-    drop_fraction: float = 0.0
 
     @property
     def n(self) -> int:
@@ -95,7 +92,7 @@ class Dataset:
 
     @property
     def d_original(self) -> int:
-        return self.origin_X.shape[1]
+        return self.y_map.arity - 1
 
     @classmethod
     def from_arrays(cls, X: np.ndarray, y: np.ndarray) -> "Dataset":
@@ -113,8 +110,6 @@ class Dataset:
             y=y,
             var_map=tuple(variable(i, d) for i in range(d)),
             y_map=variable(d, d + 1),
-            origin_X=X,
-            origin_y=y,
             origin_rows=np.arange(len(y)),
         )
 
@@ -123,8 +118,6 @@ class Dataset:
             self,
             X=self.X[mask],
             y=self.y[mask],
-            origin_X=self.origin_X[mask],
-            origin_y=self.origin_y[mask],
             origin_rows=self.origin_rows[mask],
         )
 
@@ -135,12 +128,16 @@ class Dataset:
 _dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
 
 
-def _depends_on_all(dag: ExprDag, rng: np.random.Generator) -> bool:
-    needed = set(range(dag.arity))
-    if simplify(dag).var_indices() != needed:
+def _depends_on_all(canon: ExprDag, rng: np.random.Generator) -> bool:
+    """`symbolic.depends_on(canon, every input)` for a dag that is already
+    simplified, without simplifying it again."""
+    needed = tuple(range(canon.arity))
+    if canon.var_indices() != set(needed):
         return False
     try:
-        return symbolic.depends_on(dag, needed, rng=rng)
+        return symbolic._agreed(symbolic._symbolic_dependence(canon, needed),
+                                symbolic.numeric_depends(symbolic._dag_fn(canon), canon.arity,
+                                                         needed, rng))
     except Inconclusive:
         return False
 
@@ -229,14 +226,14 @@ def _retained(d: int, I: Sequence[int]) -> list[int]:
     return [j for j in range(d) if j not in drop]
 
 
-def _finite_rows(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """The rows where a substitution's new values are finite and the fraction
-    of rows dropped; TooFewRows past the limit."""
+def _finite_rows(values: np.ndarray) -> np.ndarray:
+    """The rows where a substitution's new values are finite; TooFewRows
+    when more than the limit are dropped."""
     mask = np.isfinite(values)
     frac = 1.0 - float(mask.mean())
     if frac > MAX_ROW_DROP_FRACTION:
         raise TooFewRows(f"{frac:.1%} of rows dropped")
-    return mask, frac
+    return mask
 
 
 def apply_input(ds: Dataset, sub: InputSub) -> Dataset:
@@ -245,12 +242,11 @@ def apply_input(ds: Dataset, sub: InputSub) -> Dataset:
     if any(i >= ds.d for i in sub.I):
         raise ValueError("substitution indices outside dataset columns")
     col = evaluate(sub.g, ds.X[:, sub.I])
-    mask, frac = _finite_rows(col)
+    mask = _finite_rows(col)
     keep = _retained(ds.d, sub.I)
     g_map = compose(sub.g, [ds.var_map[i] for i in sub.I], ds.d_original)
     return replace(ds, X=np.column_stack([col, ds.X[:, keep]]),
-                   var_map=(g_map,) + tuple(ds.var_map[j] for j in keep),
-                   drop_fraction=frac).restrict_rows(mask)
+                   var_map=(g_map,) + tuple(ds.var_map[j] for j in keep)).restrict_rows(mask)
 
 
 def apply_outinput(ds: Dataset, sub: OutInputSub) -> Dataset:
@@ -260,11 +256,11 @@ def apply_outinput(ds: Dataset, sub: OutInputSub) -> Dataset:
     if len(sub.I) >= ds.d:
         raise ValueError("out-input substitution must leave at least one input")
     new_y = evaluate(sub.h, np.column_stack([ds.X[:, sub.I], ds.y]))
-    mask, frac = _finite_rows(new_y)
+    mask = _finite_rows(new_y)
     keep = _retained(ds.d, sub.I)
     y_map = compose(sub.h, [ds.var_map[i] for i in sub.I] + [ds.y_map], ds.d_original + 1)
     return replace(ds, X=ds.X[:, keep], y=new_y, var_map=tuple(ds.var_map[j] for j in keep),
-                   y_map=y_map, drop_fraction=frac).restrict_rows(mask)
+                   y_map=y_map).restrict_rows(mask)
 
 
 def apply_substitution(ds: Dataset, sub: Substitution) -> Dataset:

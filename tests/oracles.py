@@ -280,12 +280,14 @@ def enumerate_by_trees(arity: int, budget: GrammarBudget) -> set[str]:
 _VALIDATE_TOL = 1e-9
 
 
-def validate_dataset(ds) -> None:
-    """Check that re-evaluating the maps of a `Dataset` on its original rows
-    reproduces its current columns."""
-    base = np.column_stack([ds.origin_X, ds.origin_y])
+def validate_dataset(ds, sample) -> None:
+    """Check that re-evaluating the maps of a `Dataset` on its original rows,
+    `ds.origin_rows` of the unsubstituted `sample`, reproduces its current
+    columns."""
+    origin_X = sample.X[ds.origin_rows]
+    base = np.column_stack([origin_X, sample.y[ds.origin_rows]])
     for i, vm in enumerate(ds.var_map):
-        got = evaluate(vm, ds.origin_X)
+        got = evaluate(vm, origin_X)
         if not np.allclose(got, ds.X[:, i], rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
             raise AssertionError(f"var_map[{i}] does not reproduce column {i}")
     got = evaluate(ds.y_map, base)

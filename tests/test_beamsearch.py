@@ -195,8 +195,8 @@ def test_reconstruction_soundness_numeric_inversion():
     sol = parse("sqrt(cos(x1)/(2*x2))")  # exact solution of node-2 problem
     recon = reconstruct(b.dataset, sol)
 
-    hold = n2.origin_X[:50]
-    hold_y = n2.origin_y[:50]
+    hold = ds.X[n2.origin_rows[:50]]
+    hold_y = ds.y[n2.origin_rows[:50]]
     route_a = evaluate(recon, hold)
 
     y_map = n2.y_map

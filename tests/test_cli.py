@@ -1,6 +1,7 @@
 """Command-line front end: commands, exit codes, machine-parsable output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,10 @@ def test_reduce_writes_nodes_and_trace(tmp_path, capsys):
     assert (out / "node_0.csv").exists()
     assert (out / "node_1.csv").exists()
     maps = (out / "node_1.maps.txt").read_text()
-    assert "x1 =" in maps and "y_new =" in maps
+    assert "x1 =" in maps
+    # the output map's last slot, the original output, is printed as y
+    (y_new,) = [line for line in maps.splitlines() if line.startswith("y_new = ")]
+    assert re.search(r"\by\b", y_new.removeprefix("y_new = "))
 
 
 def test_reduce_single_variable_root_only(tmp_path, capsys):

@@ -33,6 +33,8 @@ from srsub.dag import (
     UNARY_OPS,
     Const,
     DagBuilder,
+    ExprDag,
+    Unary,
     bind_placeholders,
     compose,
     evaluate,
@@ -201,8 +203,24 @@ def test_parse_inverts_to_text(dag):
     assert parse(to_text(dag), arity=dag.arity) == dag
 
 
+def _on_square_branch(lhs, target, X):
+    """The rows where every `square` above x_target has a non-negative
+    argument.  `solve_for` inverts square on that branch only; on the other
+    branch the sqrt constraints it records can fail."""
+    rows = np.ones(len(X), dtype=bool)
+    for node in lhs.nodes:
+        if isinstance(node, Unary) and node.op == "square":
+            arg = ExprDag(lhs.nodes[:node.child + 1], node.child, lhs.arity, key="")
+            if arg.var_tree_occurrences(target):
+                rows &= evaluate(arg, X) >= 0
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=solvable())
+# x2 - sqrt(x1) < 0 on 25 of the 64 rows; 3 of them miss by up to 0.52
+# unless rows off the square's non-negative branch are left out
+@example(case=(parse("(x2-sqrt(x1))*(x2-sqrt(x1))", arity=3), 0))
 def test_solve_for_round_trips(case):
     lhs, target = case
     assert invertible_path(lhs, target)
@@ -214,7 +232,7 @@ def test_solve_for_round_trips(case):
     X_back = X.copy()
     X_back[:, target] = evaluate(sol, np.column_stack([X, y]))
     y_back = evaluate(lhs, X_back)
-    ok = np.isfinite(y) & np.isfinite(y_back)
+    ok = np.isfinite(y) & np.isfinite(y_back) & _on_square_branch(lhs, target, X)
     np.testing.assert_allclose(y_back[ok], y[ok], rtol=1e-6, atol=1e-9)
 
 
@@ -327,8 +345,8 @@ def _validate_every_node(ds):
     seen = set()
     for level in result.all_levels:
         for node in level:
-            validate_dataset(node.dataset)
-            seen.add((type(node.edge), node.dataset.drop_fraction > 0))
+            validate_dataset(node.dataset, ds)
+            seen.add((type(node.edge), node.dataset.n < node.parent.dataset.n))
     return seen
 
 

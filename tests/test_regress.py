@@ -314,8 +314,9 @@ def test_dagsearch_binds_only_refined_winners(monkeypatch):
     ds = _dataset("x1*x2", n=100, seed=13)
     counter = _Counter(regress.bind_placeholders)
     monkeypatch.setattr(regress, "bind_placeholders", counter)
+    monkeypatch.setattr(regress, "REFINE_TOP", 5)
     fit_dagsearch(ds, GrammarBudget(max_intermediary_nodes=1, allow_constants=True),
-                  max_skeletons=2000, refine_top=5)
+                  max_skeletons=2000)
     assert 1 <= counter.calls <= 5
 
 
@@ -447,6 +448,16 @@ def test_pipeline_never_fits_on_holdout_rows(monkeypatch, split_first):
     assert fitted == expected
     if split_first:
         assert fitted == [node.dataset.origin_rows.tolist() for node in result.best_path]
+
+
+def test_pipeline_rejects_a_substituted_holdout():
+    ds = _dataset("x1*x2*x3", n=400, seed=10)
+    mask = holdout_mask(ds.n, 0.2, seed=3)
+    result = search(ds.restrict_rows(~mask), BeamConfig())
+    substituted = result.best_path[1].dataset
+    assert substituted.d < substituted.d_original == ds.d
+    with pytest.raises(ValueError, match="unsubstituted"):
+        solve_pipeline(result, RegressorSpec(kind="poly"), substituted)
 
 
 def test_holdout_mask_deterministic():

@@ -136,7 +136,7 @@ def test_apply_input_product_triple():
     assert out.d == 3
     assert out.var_map[0] == parse("x1*(x2*x3)", arity=5)
     assert np.allclose(out.X[:, 0], ds.X[:, 0] * ds.X[:, 1] * ds.X[:, 2])
-    validate_dataset(out)
+    validate_dataset(out, ds)
 
 
 def test_apply_input_drops_domain_violations():
@@ -146,8 +146,8 @@ def test_apply_input_drops_domain_violations():
     sub = InputSub(g=parse("x1/x2"), I=(0, 1))
     out = apply_input(ds, sub)
     assert out.n == 4  # the x2 = 0 row dropped
-    assert out.drop_fraction == pytest.approx(0.2)
-    validate_dataset(out)
+    assert 1 - out.n / ds.n == pytest.approx(0.2)
+    validate_dataset(out, ds)
 
 
 def test_apply_input_too_many_drops():
@@ -167,12 +167,12 @@ def test_apply_outinput_composes_output_map():
     step3 = apply_outinput(step2, h)
     assert step3.d == 2
     assert np.allclose(step3.y, step2.y / np.sqrt(step2.X[:, 0]))
-    validate_dataset(step3)
+    validate_dataset(step3, ds)
     # compose once more: multiply by sqrt of the (now second) column = x5
     h2 = OutInputSub(h=parse("x2*sqrt(x1)", arity=2), I=(1,))
     step4 = apply_outinput(step3, h2)
     assert step4.d == 1
-    validate_dataset(step4)
+    validate_dataset(step4, ds)
     expect = ds.y * np.sqrt(ds.X[:, 4] / (ds.X[:, 0] * ds.X[:, 1] * ds.X[:, 2]))
     assert np.allclose(step4.y, expect, rtol=1e-9)
 

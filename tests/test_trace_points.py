@@ -38,3 +38,7 @@ def test_cache_fill_names_resolve():
     assert callable(substitution.input_candidate_dags)
     assert callable(substitution.outinput_candidate_dags)
     inspect.signature(regress._skeletons).bind(2, GrammarBudget(), 10)
+    spec = regress.RegressorSpec(kind="dagsearch")
+    assert spec.kind == "dagsearch"
+    assert isinstance(spec.max_intermediary_nodes, int)
+    assert isinstance(spec.max_skeletons, int)
