@@ -313,9 +313,9 @@ def _occurrences(nodes: Sequence[Node], target: int) -> list[int]:
 # -- construction helpers ---------------------------------------------------
 
 
-def variable(index: int, arity: int | None = None) -> ExprDag:
+def variable(index: int, arity: int) -> ExprDag:
     b = DagBuilder()
-    return b.extract(b.var(index), arity if arity is not None else index + 1)
+    return b.extract(b.var(index), arity)
 
 
 def compose(dag: ExprDag, replacements: Sequence[ExprDag], arity: int) -> ExprDag:
@@ -419,8 +419,7 @@ def invertible_path(dag: ExprDag, target: int) -> bool:
     )
 
 
-def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
-              rng: np.random.Generator | None = None) -> ExprDag:
+def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True) -> ExprDag:
     """Solve lhs(x) = rhs(x) for variable `target`.
 
     The target must occur exactly once across both sides and every operator
@@ -458,7 +457,7 @@ def solve_for(lhs: ExprDag, rhs: ExprDag, target: int, check: bool = True,
     solution = b.extract(acc, arity)
     if check:
         _check_solution(lhs, rhs, target, solution,
-                        [b.extract(c, arity) for c in constraints], rng)
+                        [b.extract(c, arity) for c in constraints])
     return solution
 
 
@@ -467,8 +466,8 @@ _CHECK_TOL = 1e-9
 
 
 def _check_solution(lhs: ExprDag, rhs: ExprDag, target: int, solution: ExprDag,
-                    constraints: list[ExprDag], rng: np.random.Generator | None) -> None:
-    rng = rng if rng is not None else np.random.default_rng(0)
+                    constraints: list[ExprDag]) -> None:
+    rng = np.random.default_rng(0)
     arity = max(lhs.arity, rhs.arity)
     passed = 0
     attempts = 0

@@ -226,8 +226,7 @@ def default_bandwidth(y: np.ndarray) -> float:
     raise DegenerateY("constant output column")
 
 
-def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None,
-         nn: np.ndarray | None = None) -> float:
+def kmac(X: np.ndarray, y: np.ndarray, nn: np.ndarray | None = None) -> float:
     """Kernel association over the 1-NN graph with a Gaussian RBF kernel.
 
     score = [mean_i k(y_i, y_nu(i)) - cross] / [k(0) - cross] where `cross`
@@ -239,10 +238,7 @@ def kmac(X: np.ndarray, y: np.ndarray, bandwidth: float | None = None,
     n = len(y)
     if n < 3:
         raise ValueError("need at least three observations")
-    if bandwidth is None:
-        bandwidth = default_bandwidth(y)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    bandwidth = default_bandwidth(y)
     nu = _neighbor_indices(X, n, nn)
     inv2bw2 = 1.0 / (2.0 * bandwidth * bandwidth)
     local = float(np.exp(-((y - y[nu]) ** 2) * inv2bw2).mean())

@@ -32,6 +32,10 @@ from .substitution import Dataset
 NONFINITE_PENALTY = 10.0
 # fit_dagsearch refines the constants of this many best skeletons
 REFINE_TOP = 200
+# fit_poly fits every monomial of total degree up to this
+POLY_DEGREE = 2
+# fit_external stops the command after this many seconds
+EXTERNAL_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -40,15 +44,14 @@ class RegressorSpec:
     max_intermediary_nodes: int = 2
     max_skeletons: int = 10_000
     command: str | None = None
-    timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("poly", "dagsearch", "external"):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         if self.kind == "dagsearch" and (self.max_intermediary_nodes < 1 or self.max_skeletons < 1):
             raise ValueError("dagsearch budgets must be >= 1")
-        if self.kind == "external" and not self.command:
-            raise ValueError("external regressor needs a command template")
+        if self.kind == "external" and "{csv}" not in (self.command or ""):
+            raise ValueError("external regressor needs a command template with {csv}")
 
 
 @dataclass
@@ -127,16 +130,16 @@ def _design_matrix(X: np.ndarray, exps: Sequence[tuple[int, ...]]) -> np.ndarray
     return np.column_stack(cols)
 
 
-def fit_poly(ds: Dataset, max_degree: int = 2) -> ExprDag:
-    """Least squares over all monomials of total degree <= max_degree.
+def fit_poly(ds: Dataset) -> ExprDag:
+    """Least squares over all monomials of total degree <= POLY_DEGREE.
 
     Coefficients below 1e-8 of the largest are pruned.  A numerically
     singular system falls back to a ridge solve (1e-10) and warns.
     """
     X, y = ds.X, ds.y
-    exps = _monomial_exponents(ds.d, max_degree)
+    exps = _monomial_exponents(ds.d, POLY_DEGREE)
     if ds.n <= len(exps):
-        raise ValueError(f"need more than {len(exps)} rows for degree {max_degree}")
+        raise ValueError(f"need more than {len(exps)} rows for degree {POLY_DEGREE}")
     A = _design_matrix(X, exps)
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < A.shape[1]:
@@ -291,21 +294,20 @@ def write_csv(path: str | os.PathLike, X: np.ndarray, y: np.ndarray) -> None:
 
 
 def fit_external(ds: Dataset, spec: RegressorSpec) -> ExprDag:
-    """Write the dataset as CSV, run the command template, and parse the
-    first non-empty stdout line as an expression."""
-    if spec.command is None:
-        raise ValueError("external regressor needs a command")
+    """Write the dataset as CSV, run the command template with its `{csv}`
+    replaced by the file's path, and parse the first non-empty stdout line
+    as an expression.  Other braces in the template pass through."""
     fd, path = tempfile.mkstemp(suffix=".csv", prefix="srsub_")
     os.close(fd)
     try:
         write_csv(path, ds.X, ds.y)
-        cmd = spec.command.format(csv=path) if "{csv}" in spec.command else f"{spec.command} {path}"
+        cmd = spec.command.replace("{csv}", path)
         try:
             proc = subprocess.run(
-                cmd, shell=True, capture_output=True, text=True, timeout=spec.timeout
+                cmd, shell=True, capture_output=True, text=True, timeout=EXTERNAL_TIMEOUT_S
             )
         except subprocess.TimeoutExpired as exc:
-            raise ExternalFailure(f"external regressor timed out after {spec.timeout}s") from exc
+            raise ExternalFailure(f"external regressor timed out after {EXTERNAL_TIMEOUT_S}s") from exc
         if proc.returncode != 0:
             raise ExternalFailure(f"external regressor exited {proc.returncode}: {proc.stderr.strip()[:200]}")
         for line in proc.stdout.splitlines():

@@ -39,6 +39,8 @@ class InputSub:
     def __post_init__(self) -> None:
         if len(self.I) < 2:
             raise ValueError("input substitutions need |I| > 1")
+        if len(set(self.I)) != len(self.I):
+            raise ValueError("substitution indices must be distinct")
         if self.g.arity != len(self.I):
             raise ValueError("g arity must equal |I|")
 
@@ -56,6 +58,8 @@ class OutInputSub:
     def __post_init__(self) -> None:
         if len(self.I) < 1:
             raise ValueError("out-input substitutions need |I| >= 1")
+        if len(set(self.I)) != len(self.I):
+            raise ValueError("substitution indices must be distinct")
         if self.h.arity != len(self.I) + 1:
             raise ValueError("h arity must equal |I| + 1")
         if not invertible_path(self.h, len(self.I)):
@@ -325,16 +329,25 @@ def _fresh_gamma() -> sp.Symbol:
     return sp.Symbol(f"g_{next(_gamma_counter)}", real=True)
 
 
-def reduce_truth_input(truth: sp.Expr, symbols: Sequence[sp.Symbol],
-                       sub: InputSub, rng: np.random.Generator | None = None
-                       ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
-    """Check an input substitution against a known formula.
+def reduce_truth(truth: sp.Expr, symbols: Sequence[sp.Symbol], sub: Substitution
+                 ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
+    """Check a substitution against a known formula over `symbols`.
 
-    Introduces a fresh symbol for g(x_I), solves for one x_i, substitutes it
-    into the formula, and requires the result to be independent of x_I.
-    Returns (valid, reduced formula, reduced symbol list); the reduced
-    problem's first column corresponds to the fresh symbol.
+    Returns (valid, reduced formula, reduced symbol list).  An out-input
+    substitution is valid when h(x_I, f(x)) is independent of x_I.  An input
+    substitution introduces a fresh symbol for g(x_I), solves for one x_i,
+    substitutes it into the formula, and requires the result to be
+    independent of x_I; the reduced problem's first column corresponds to
+    the fresh symbol.  Raises ValueError when an index is not a variable of
+    the formula.
     """
+    if max(sub.I) >= len(symbols):
+        raise ValueError("substitution indices outside the formula's variables")
+    local = [symbols[i] for i in sub.I]
+    kept = [symbols[j] for j in _retained(len(symbols), sub.I)]
+    if isinstance(sub, OutInputSub):
+        transformed = symbolic.to_sympy(sub.h, subs=local + [truth])
+        return _reduced(transformed, list(symbols), sub.I, kept)
     size = len(sub.I)
     gamma = _fresh_gamma()
     gamma_slot = variable(size, size + 1)
@@ -347,39 +360,25 @@ def reduce_truth_input(truth: sp.Expr, symbols: Sequence[sp.Symbol],
         break
     if solved is None:
         raise Unverifiable("no variable of the candidate is solvable")
-    local_exprs = [symbols[i] for i in sub.I] + [gamma]
-    xi_expr = symbolic.to_sympy(solved, subs=local_exprs)
+    xi_expr = symbolic.to_sympy(solved, subs=local + [gamma])
     substituted = truth.subs(symbols[sub.I[pos]], xi_expr)
-    keep = _retained(len(symbols), sub.I)
-    return _reduced(substituted, list(symbols) + [gamma], sub.I,
-                    [gamma] + [symbols[j] for j in keep], rng)
-
-
-def reduce_truth_outinput(truth: sp.Expr, symbols: Sequence[sp.Symbol],
-                          sub: OutInputSub, rng: np.random.Generator | None = None
-                          ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
-    """Check an out-input substitution: h(x_I, f(x)) must be independent of
-    x_I; the simplified result is the reduced problem's formula."""
-    local_exprs = [symbols[i] for i in sub.I] + [truth]
-    transformed = symbolic.to_sympy(sub.h, subs=local_exprs)
-    keep = _retained(len(symbols), sub.I)
-    return _reduced(transformed, list(symbols), sub.I, [symbols[j] for j in keep], rng)
+    return _reduced(substituted, list(symbols) + [gamma], sub.I, [gamma] + kept)
 
 
 def _reduced(expr: sp.Expr, symbols: list[sp.Symbol], targets: Sequence[int],
-             reduced_symbols: list[sp.Symbol], rng: np.random.Generator | None
+             reduced_symbols: list[sp.Symbol]
              ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
     """(True, the target-free rewrite of `expr`, `reduced_symbols`) when
     `expr` does not depend on the target columns; (False, None, None) when
     it does or when the CAS and the numeric probe disagree."""
-    rng = rng if rng is not None else np.random.default_rng(symbolic.DEFAULT_SEED)
     cleaned = symbolic.eliminated_form(expr, [symbols[t] for t in targets])
     try:
         fn = symbolic.lambdify_fn(expr, symbols)
     except ValueError:
         num_dep = None
     else:
-        num_dep = symbolic.numeric_depends(fn, len(symbols), targets, rng)
+        num_dep = symbolic.numeric_depends(fn, len(symbols), targets,
+                                           np.random.default_rng(symbolic.DEFAULT_SEED))
     try:
         if not symbolic._agreed(cleaned is None, num_dep):
             return True, cleaned, reduced_symbols
@@ -388,26 +387,16 @@ def _reduced(expr: sp.Expr, symbols: list[sp.Symbol], targets: Sequence[int],
     return False, None, None
 
 
-def reduce_truth(truth: sp.Expr, symbols: Sequence[sp.Symbol], sub: Substitution,
-                 rng: np.random.Generator | None = None
-                 ) -> tuple[bool, sp.Expr | None, list[sp.Symbol] | None]:
-    """`reduce_truth_input` or `reduce_truth_outinput`, by the kind of sub."""
-    if isinstance(sub, InputSub):
-        return reduce_truth_input(truth, symbols, sub, rng)
-    return reduce_truth_outinput(truth, symbols, sub, rng)
-
-
 def sympy_truth(f_true: ExprDag) -> tuple[sp.Expr, list[sp.Symbol]]:
     """The known formula as a sympy expression over real symbols x1..xd."""
     symbols = [sp.Symbol(f"x{i + 1}", real=True) for i in range(f_true.arity)]
     return symbolic.to_sympy(f_true, subs=symbols), symbols
 
 
-def verify_substitution(f_true: ExprDag, sub: Substitution,
-                        rng: np.random.Generator | None = None) -> bool:
+def verify_substitution(f_true: ExprDag, sub: Substitution) -> bool:
     """Whether the substitution is valid for the known formula."""
     truth, symbols = sympy_truth(f_true)
-    valid, _, _ = reduce_truth(truth, symbols, sub, rng)
+    valid, _, _ = reduce_truth(truth, symbols, sub)
     return valid
 
 

@@ -45,12 +45,8 @@ _WITNESS_GAP = 1e-12
 _WITNESS_ARG_CAP = 1e4
 
 
-def _symbol(name: str, positive: bool) -> sp.Symbol:
-    return sp.Symbol(name, positive=True) if positive else sp.Symbol(name, real=True)
-
-
-def _sym(i: int, positive: bool = False) -> sp.Symbol:
-    return _symbol(f"x{i + 1}", positive)
+def _sym(i: int) -> sp.Symbol:
+    return sp.Symbol(f"x{i + 1}", real=True)
 
 
 def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
@@ -83,7 +79,8 @@ def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
 def _with_assumption(expr: sp.Expr, positive: bool) -> sp.Expr:
     """`expr` with every symbol swapped for its positive (or else real)
     namesake."""
-    return expr.xreplace({s: _symbol(s.name, positive) for s in expr.free_symbols})
+    assumption = {"positive": True} if positive else {"real": True}
+    return expr.xreplace({s: sp.Symbol(s.name, **assumption) for s in expr.free_symbols})
 
 
 def _escalate(expr: sp.Expr) -> Iterable[sp.Expr]:
@@ -211,18 +208,17 @@ def lambdify_fn(expr: sp.Expr, symbols: Sequence[sp.Symbol]) -> Callable[[np.nda
 # -- public decision procedures ------------------------------------------------
 
 
-def depends_on(dag: ExprDag, variables: Iterable[int],
-               rng: np.random.Generator | None = None) -> bool:
+def depends_on(dag: ExprDag, variables: Iterable[int]) -> bool:
     """Whether the expression depends on any of the given variable indices.
 
     The symbolic check (does the variable survive canonical simplification
     and CAS rewrites) and a randomized perturbation check must agree;
     otherwise Inconclusive is raised.
     """
-    rng = rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
     targets = tuple(sorted(set(variables)))
     sym_dep = _symbolic_dependence(simplify(dag), targets)
-    return _agreed(sym_dep, numeric_depends(_dag_fn(dag), dag.arity, targets, rng))
+    return _agreed(sym_dep, numeric_depends(_dag_fn(dag), dag.arity, targets,
+                                            np.random.default_rng(DEFAULT_SEED)))
 
 
 def _agreed(sym_dep: bool, num_dep: bool | None) -> bool:
@@ -310,8 +306,7 @@ def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,
     return None
 
 
-def equivalent(f: ExprDag, g: ExprDag,
-               rng: np.random.Generator | None = None) -> bool:
+def equivalent(f: ExprDag, g: ExprDag) -> bool:
     """Equality up to an additive or a non-zero multiplicative constant.
 
     An expression that sympy cannot build, because it folds a constant past
@@ -319,7 +314,7 @@ def equivalent(f: ExprDag, g: ExprDag,
     """
     if f.arity != g.arity:
         raise ValueError("expressions must have the same arity")
-    rng = rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
+    rng = np.random.default_rng(DEFAULT_SEED)
     b = DagBuilder()
     fr, gr = b.copy_from(f), b.copy_from(g)
     diff = b.extract(b.binary("-", fr, gr), f.arity)

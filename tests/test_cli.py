@@ -82,6 +82,26 @@ def test_solve_external_stub(tmp_path, capsys):
     assert rec["nrmse_test"] < 1e-9
 
 
+def test_solve_external_awk_template(tmp_path, capsys):
+    from srsub import equivalent, parse
+
+    csv = _write_csv(tmp_path / "s.csv", "x1*x2+x3")
+    code = main(["solve", str(csv), "--regressor",
+                 "external:awk 'BEGIN{print \"x1*x2+x3\"}' {csv}"])
+    assert code == 0
+    rec = _last_record(capsys)
+    assert equivalent(parse(rec["expression"]), parse("x1*x2+x3"))
+
+
+def test_solve_external_without_csv_is_data_error(tmp_path):
+    csv = _write_csv(tmp_path / "prod.csv", "x1*x2")
+    stub = tmp_path / "stub.py"
+    stub.write_text("print('x1*x2')\n")
+    import sys
+
+    assert main(["solve", str(csv), "--regressor", f"external:{sys.executable} {stub}"]) == 2
+
+
 def test_bench_smoke_corpus(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("a\t2\tx1*x2\nb\t2\tx1+x2\n")
@@ -127,6 +147,15 @@ def test_verify_command_outinput(capsys):
                  "--type", "outinput"])
     assert code == 0
     assert _last_record(capsys)["valid"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["--sub", "x1*x2", "--indices", "1,5"],
+    ["--sub", "y-x1", "--indices", "4", "--type", "outinput"],
+    ["--sub", "x1*x2", "--indices", "1,1"],
+])
+def test_verify_bad_indices_is_data_error(args):
+    assert main(["verify", "x1*x2+x3", *args]) == 2
 
 
 def test_sample_command_writes_csv(tmp_path, capsys):

@@ -233,9 +233,8 @@ def test_kmac_matches_direct_oracle():
     rng = np.random.default_rng(29)
     X = rng.uniform(size=(150, 2))
     y = X[:, 0] + 0.3 * rng.normal(size=150)
-    bw = default_bandwidth(y)
-    s = kmac(X, y, bandwidth=bw)
-    assert s == pytest.approx(kmac_direct(X, y, bw), abs=1e-10)
+    s = kmac(X, y)
+    assert s == pytest.approx(kmac_direct(X, y, default_bandwidth(y)), abs=1e-10)
 
 
 def test_kmac_constant_y_degenerate():

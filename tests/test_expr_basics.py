@@ -188,7 +188,7 @@ def test_solve_roundtrip_residual():
     for text, target in cases:
         lhs = parse(text, arity=4)
         rhs = parse("x4", arity=4)
-        sol = solve_for(lhs, rhs, target=target, rng=rng)
+        sol = solve_for(lhs, rhs, target=target)
         pts = rng.uniform(0.5, 2.0, size=(100, 4))
         sol_vals = evaluate(sol, pts)
         pts[:, target] = sol_vals

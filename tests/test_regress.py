@@ -126,7 +126,7 @@ def test_nrmse_degenerate():
 
 def test_poly_recovers_quadratic():
     ds = _dataset("3*x1*x2+2", n=200, seed=2)
-    expr = fit_poly(ds, max_degree=2)
+    expr = fit_poly(ds)
     assert equivalent(expr, parse("3*x1*x2+2", arity=2))
     pred = evaluate(expr, ds.X)
     assert nrmse(ds.y, pred) < 1e-8
@@ -137,7 +137,7 @@ def test_poly_coefficients_match_pseudoinverse():
     X = rng.uniform(-1, 1, size=(120, 2))
     y = 1.5 + 0.5 * X[:, 0] - 2.0 * X[:, 1] + 0.25 * X[:, 0] * X[:, 1]
     ds = Dataset.from_arrays(X, y)
-    expr = fit_poly(ds, max_degree=2)
+    expr = fit_poly(ds)
     from srsub.regress import _design_matrix, _monomial_exponents
 
     exps = _monomial_exponents(2, 2)
@@ -152,7 +152,7 @@ def test_poly_narrow_sine_is_not_recovered():
     rng = np.random.default_rng(4)
     X = rng.uniform(-0.01, 0.01, size=(100, 1))
     ds = Dataset.from_arrays(X, np.sin(X[:, 0]))
-    expr = fit_poly(ds, max_degree=2)
+    expr = fit_poly(ds)
     assert not equivalent(expr, parse("sin(x1)"))
 
 
@@ -160,7 +160,7 @@ def test_poly_needs_enough_rows():
     ds = _dataset("x1+x2", n=300)
     small = ds.restrict_rows(np.arange(ds.n) < 5)
     with pytest.raises(ValueError):
-        fit_poly(small, max_degree=2)
+        fit_poly(small)
 
 
 # -- dag skeleton search ---------------------------------------------------------------
@@ -337,6 +337,20 @@ def test_external_echo_stub(tmp_path):
     spec = RegressorSpec(kind="external", command=cmd + " {csv}")
     expr = fit_external(ds, spec)
     assert expr == parse("x1+x2")
+
+
+@pytest.mark.parametrize("csv", ["{csv}", '"{csv}"'])
+def test_external_template_replaces_only_csv(csv):
+    # the awk program's braces pass through; the header row of the CSV the
+    # command reads is x1,x2,y
+    ds = _dataset("x1*x2", n=60)
+    spec = RegressorSpec(kind="external", command="awk -F, 'NR==1{print $1\"*\"$2}' " + csv)
+    assert fit_external(ds, spec) == parse("x1*x2")
+
+
+def test_external_command_needs_csv():
+    with pytest.raises(ValueError, match="{csv}"):
+        RegressorSpec(kind="external", command="echo x1")
 
 
 def test_external_nonzero_exit(tmp_path):

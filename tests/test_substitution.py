@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ from srsub.substitution import (
     gen_outinput_candidates,
     input_candidate_dags,
     outinput_candidate_dags,
+    reduce_truth,
+    sympy_truth,
 )
 
 from oracles import validate_dataset
@@ -236,6 +239,56 @@ def test_verify_outinput_three_variable_example():
     f = parse("x1*x2*x3+x1*(x2+log(x2))/x3")
     h = OutInputSub(h=parse("x2/x1", arity=2), I=(0,))  # y / x1
     assert verify_outinput_sub(f, h) is True
+
+
+def test_reduce_truth_input_puts_the_fresh_symbol_first():
+    truth, symbols = sympy_truth(parse("x1*x2+x3"))
+    valid, reduced, kept = reduce_truth(truth, symbols, InputSub(g=parse("x1*x2"), I=(0, 1)))
+    assert valid is True
+    gamma, x3 = kept
+    assert gamma not in symbols and x3 == symbols[2]
+    assert reduced.free_symbols == {gamma, x3}
+    assert sp.expand(reduced - (gamma + x3)) == 0
+
+
+def test_reduce_truth_outinput_keeps_the_other_symbols():
+    truth, symbols = sympy_truth(parse("x1*x2+x3"))
+    valid, reduced, kept = reduce_truth(truth, symbols,
+                                        OutInputSub(h=parse("x2-x1", arity=2), I=(2,)))
+    assert valid is True
+    assert kept == symbols[:2]
+    assert sp.expand(reduced - symbols[0] * symbols[1]) == 0
+
+
+def test_reduce_truth_chains_on_its_own_result():
+    # x1*x2 -> gamma leaves gamma + x3; then y - x3 leaves gamma alone
+    truth, symbols = sympy_truth(parse("x1*x2+x3"))
+    valid, truth, symbols = reduce_truth(truth, symbols, InputSub(g=parse("x1*x2"), I=(0, 1)))
+    assert valid is True
+    valid, reduced, kept = reduce_truth(truth, symbols,
+                                        OutInputSub(h=parse("x2-x1", arity=2), I=(1,)))
+    assert valid is True
+    assert kept == symbols[:1]
+    assert sp.expand(reduced - symbols[0]) == 0
+
+
+@pytest.mark.parametrize("sub", [
+    InputSub(g=parse("x1*x2"), I=(0, 4)),
+    OutInputSub(h=parse("x2-x1", arity=2), I=(3,)),
+])
+def test_reduce_truth_rejects_an_index_past_the_formula(sub):
+    truth, symbols = sympy_truth(parse("x1*x2+x3"))
+    with pytest.raises(ValueError):
+        reduce_truth(truth, symbols, sub)
+
+
+@pytest.mark.parametrize("kind, expr, I", [
+    (InputSub, "x1*x2", (1, 1)),
+    (OutInputSub, "x3-x1*x2", (0, 0)),
+])
+def test_substitutions_reject_repeated_indices(kind, expr, I):
+    with pytest.raises(ValueError, match="distinct"):
+        kind(parse(expr, arity=len(I) + (kind is OutInputSub)), I)
 
 
 # -- degenerate columns -----------------------------------------------------------

@@ -36,18 +36,6 @@ def test_depends_inconclusive_on_branch_mismatch():
         depends_on(dag, {0})
 
 
-def test_depends_on_memoized_verdict_keeps_rng_stream():
-    # a repeated call draws its numeric check from the caller's generator
-    # exactly as the first call did
-    dag = parse("(x1*x2*x3+x1*(x2+log(x2))/x3)/x1+x4")
-    streams = []
-    for _ in range(2):
-        rng = np.random.default_rng(5)
-        assert depends_on(dag, {0, 3}, rng=rng) is True
-        streams.append(rng.random(4))
-    np.testing.assert_array_equal(streams[0], streams[1])
-
-
 @pytest.mark.parametrize("sym_dep, num_dep, want", [
     (False, False, False),
     (True, True, True),
