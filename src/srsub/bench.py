@@ -15,6 +15,7 @@ import importlib.resources
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -319,6 +320,40 @@ def _run_problem_star(args) -> tuple[dict, list[dict]]:
     return run_problem(*args)
 
 
+def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[dict, list[dict]]]:
+    """`_run_problem_star` over `tasks` on `workers` processes, in task order.
+
+    A worker that dies breaks the pool and every task still in it.  Each
+    task left without a result then runs alone in a fresh one-worker pool,
+    and a task that breaks that pool too becomes a row with status
+    `BrokenProcessPool`.
+    """
+    outcomes: list = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_problem_star, task) for task in tasks]
+        for i, future in enumerate(futures):
+            try:
+                outcomes[i] = future.result()
+            except BrokenProcessPool:
+                pass
+    for i, task in enumerate(tasks):
+        if outcomes[i] is None:
+            outcomes[i] = _run_alone(task)
+    return outcomes
+
+
+def _run_alone(task: tuple) -> tuple[dict, list[dict]]:
+    t0 = time.monotonic()
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_run_problem_star, task).result()
+        except BrokenProcessPool as exc:
+            p = task[0]
+            row = {"id": p.id, "d": p.d, "status": type(exc).__name__,
+                   "error": str(exc)[:200], "wall_time": time.monotonic() - t0}
+            return row, []
+
+
 def run_benchmark(problems: Sequence[Problem], cfg: BeamConfig, spec: RegressorSpec,
                   noise: NoiseLevel, seed: int, n_samples: int = 1000,
                   holdout_fraction: float = 0.2, fit_models: bool = True,
@@ -326,8 +361,9 @@ def run_benchmark(problems: Sequence[Problem], cfg: BeamConfig, spec: RegressorS
     """Evaluate every problem with a per-problem derived seed.
 
     Failures are recorded as rows with a status, never aborting the run;
-    aggregates are the means of the ok rows.  Deterministic per seed,
-    independent of the worker count.
+    a problem whose worker process dies is a `BrokenProcessPool` row (see
+    `_run_pooled`).  Aggregates are the means of the ok rows.  Deterministic
+    per seed, independent of the worker count.
     """
     seeds = [seed + 1000 * i for i in range(len(problems))]
     tasks = [
@@ -335,8 +371,7 @@ def run_benchmark(problems: Sequence[Problem], cfg: BeamConfig, spec: RegressorS
         for p, s in zip(problems, seeds)
     ]
     if workers > 1 and len(problems) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_problem_star, tasks))
+        outcomes = _run_pooled(tasks, workers)
     else:
         outcomes = [_run_problem_star(t) for t in tasks]
     rows = [row for row, _ in outcomes]

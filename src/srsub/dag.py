@@ -5,6 +5,12 @@ operator nodes.  Shared subexpressions are represented once (hash-consing in
 the builder), commutative operands are ordered canonically, and every dag
 carries a structural key so that two semantically identical constructions
 compare equal.
+
+Numeric evaluation has one node walker, `Compiled`: a dag on a fixed design
+matrix as a function of its placeholder values.  Building it computes every
+node that reads no placeholder; each call computes only the nodes that do.
+`evaluate` compiles and calls once; the dagsearch fit compiles a skeleton
+once and calls it at every constant vector it tries.
 """
 
 from __future__ import annotations
@@ -51,8 +57,7 @@ def _guarded_log(c):
 
 
 def _guarded_div(l, r):
-    nonzero = r != 0
-    return np.where(nonzero, l / np.where(nonzero, r, 1.0), np.nan)
+    return np.where(r != 0, l / r, np.nan)
 
 
 def _square(c):
@@ -215,31 +220,34 @@ class DagBuilder:
         return memo[dag.root]
 
     def extract(self, root: int, arity: int) -> "ExprDag":
-        """Snapshot the subgraph reachable from `root` as an ExprDag."""
-        reach: list[int] = []
-        seen = set()
-
-        def visit(nid: int) -> None:
-            if nid in seen:
-                return
-            seen.add(nid)
-            node = self.nodes[nid]
-            if isinstance(node, Unary):
-                visit(node.child)
-            elif isinstance(node, Binary):
-                visit(node.left)
-                visit(node.right)
-            reach.append(nid)
-
-        visit(root)
-        remap = {old: new for new, old in enumerate(reach)}
+        """Snapshot the subgraph reachable from `root` as an ExprDag, its
+        nodes in left-first post-order."""
+        nodes = self.nodes
+        remap: dict[int, int] = {}
         out: list[Node] = []
-        for old in reach:
-            node = self.nodes[old]
+        # the stack holds the path from `root` to the node being finished
+        stack = [root]
+        while stack:
+            nid = stack[-1]
+            node = nodes[nid]
             if isinstance(node, Unary):
-                node = Unary(node.op, remap[node.child])
+                child = remap.get(node.child)
+                if child is None:
+                    stack.append(node.child)
+                    continue
+                node = Unary(node.op, child)
             elif isinstance(node, Binary):
-                node = Binary(node.op, remap[node.left], remap[node.right])
+                left = remap.get(node.left)
+                if left is None:
+                    stack.append(node.left)
+                    continue
+                right = remap.get(node.right)
+                if right is None:
+                    stack.append(node.right)
+                    continue
+                node = Binary(node.op, left, right)
+            stack.pop()
+            remap[nid] = len(out)
             out.append(node)
         return ExprDag(tuple(out), remap[root], arity, self._keys[root])
 
@@ -344,49 +352,99 @@ def bind_placeholders(dag: ExprDag, values: dict[str, float]) -> ExprDag:
 _OVERFLOW_GUARD = 1e150
 
 
-def evaluate(dag: ExprDag, X: np.ndarray, params: dict[str, float] | None = None) -> np.ndarray:
-    """Elementwise evaluation on an (n, d) matrix.
+def _on_column(fn: Callable, n: int) -> Callable:
+    """`fn` with its first operand, a constant, spread to an n-array."""
+    return lambda first, *rest: fn(np.full(n, first), *rest)
 
-    Domain violations (log of non-positives, division by zero, sqrt of a
-    negative, overflow) yield non-finite entries; they never raise.
+
+class Compiled:
+    """`dag` on a fixed (n, d) matrix `X`, as a function of its placeholders.
+
+    Building it computes every node that reads no placeholder.  A call
+    `f(theta)` takes the placeholder values in `names` order, computes only
+    the nodes that read one, and returns the root as an n-array; entries
+    past the overflow guard (|v| > 1e150) are nan.  Each call overwrites the
+    values of the previous one.
+
+    Constant nodes stay scalars and broadcast in binary ops.  A unary op on
+    a constant, a binary op on two constants and a constant root get the
+    constant as an n-array, so every op computes on the same elements as it
+    would with a full constant column.  Domain violations yield non-finite
+    entries and never raise; the caller chooses the `np.errstate` that
+    building and calls run under.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] < dag.arity:
-        raise ValueError(f"dag arity {dag.arity} exceeds data dimension {X.shape[1]}")
-    n = X.shape[0]
-    # Constant nodes stay scalars and broadcast in binary ops.  A unary op
-    # on a constant, a binary op on two constants and a constant root get
-    # the constant as an n-array, so every op computes on the same elements
-    # as it would with a full constant column.
-    nodes = dag.nodes
-    vals: list = []
-    with np.errstate(all="ignore"):
-        for node in nodes:
+
+    def __init__(self, dag: ExprDag, X: np.ndarray, names: Sequence[str]) -> None:
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[None, :]
+        if X.shape[1] < dag.arity:
+            raise ValueError(f"dag arity {dag.arity} exceeds data dimension {X.shape[1]}")
+        n = X.shape[0]
+        self.names = tuple(names)
+        position = {name: i for i, name in enumerate(self.names)}
+        nodes = dag.nodes
+        # while building, a node's value is None exactly when it reads a
+        # placeholder
+        vals: list = []
+        # (node id, position in theta) and (node id, op, operand ids) of
+        # the nodes each call computes, in node order
+        self._params: list[tuple[int, int]] = []
+        self._steps: list[tuple[int, Callable, int, int | None]] = []
+        for nid, node in enumerate(nodes):
             if isinstance(node, Var):
                 vals.append(X[:, node.index])
-            elif isinstance(node, Const):
+                continue
+            if isinstance(node, Const):
                 if node.is_placeholder:
-                    if params is None or node.name not in params:
+                    if node.name not in position:
                         raise ValueError(f"unbound placeholder {node.name!r}")
-                    vals.append(params[node.name])
+                    self._params.append((nid, position[node.name]))
+                    vals.append(None)
                 else:
                     vals.append(node.value)
-            elif isinstance(node, Unary):
-                child = vals[node.child]
-                if isinstance(nodes[node.child], Const):
-                    child = np.full(n, child)
-                vals.append(OPS[node.op].numpy(child))
+                continue
+            fn = OPS[node.op].numpy
+            if isinstance(node, Unary):
+                a, b = node.child, None
+                if isinstance(nodes[a], Const):
+                    fn = _on_column(fn, n)
             else:
-                left, right = vals[node.left], vals[node.right]
-                if isinstance(nodes[node.left], Const) and isinstance(nodes[node.right], Const):
-                    left = np.full(n, left)
-                vals.append(OPS[node.op].numpy(left, right))
-        out = vals[dag.root]
-        if isinstance(nodes[dag.root], Const):
-            out = np.full(n, out)
+                a, b = node.left, node.right
+                if isinstance(nodes[a], Const) and isinstance(nodes[b], Const):
+                    fn = _on_column(fn, n)
+            if vals[a] is None or (b is not None and vals[b] is None):
+                self._steps.append((nid, fn, a, b))
+                vals.append(None)
+            else:
+                vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+        self._vals = vals
+        self._root = dag.root
+        self._n_root = n if isinstance(nodes[dag.root], Const) else None
+
+    def __call__(self, theta: Sequence[float]) -> np.ndarray:
+        vals = self._vals
+        for nid, pos in self._params:
+            vals[nid] = theta[pos]
+        for nid, fn, a, b in self._steps:
+            vals[nid] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        out = vals[self._root]
+        if self._n_root is not None:
+            out = np.full(self._n_root, out)
         return np.where(np.abs(out) <= _OVERFLOW_GUARD, out, np.nan)
+
+
+def evaluate(dag: ExprDag, X: np.ndarray, params: dict[str, float] | None = None) -> np.ndarray:
+    """Elementwise evaluation on an (n, d) matrix: `Compiled` once, called
+    once at `params`, with every floating-point error ignored.
+
+    Domain violations (log of non-positives, division by zero, sqrt of a
+    negative, overflow) yield non-finite entries; they never raise.  An
+    unbound placeholder raises ValueError.
+    """
+    params = params or {}
+    with np.errstate(all="ignore"):
+        return Compiled(dag, X, list(params))(list(params.values()))
 
 
 # -- equation solving by path inversion -------------------------------------

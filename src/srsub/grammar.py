@@ -145,7 +145,12 @@ def _class_roots(arity: int, k: int, budget: GrammarBudget) -> Iterator[tuple[Da
                 roots.add(nid)
                 yield b, nid, count
 
-    yield from rec([], 0, 0)
+    try:
+        yield from rec([], 0, 0)
+    finally:
+        # `rec` refers to itself through its closure; breaking that cycle
+        # frees the builder now instead of at the next full collection
+        rec = None
 
 
 def _renumber_placeholders(dag: ExprDag) -> ExprDag:

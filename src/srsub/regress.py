@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .beamsearch import SearchResult, reconstruct
-from .dag import DagBuilder, ExprDag, bind_placeholders, evaluate
+from .dag import Compiled, DagBuilder, ExprDag, bind_placeholders, evaluate
 from .errors import DegenerateY, ExternalFailure, IllConditionedWarning, NotSolvable
 from .exprtext import parse
 from .grammar import GrammarBudget, enumerate_dags
@@ -74,11 +74,11 @@ def nrmse(y: np.ndarray, yhat: np.ndarray) -> float:
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    with np.errstate(over="ignore"):
-        total = float(np.sum(y * y))
-    if _all_zero(y, total):
-        raise DegenerateY("zero output norm")
-    return _nrmse(y, yhat, total)
+    with np.errstate(all="ignore"):
+        total = float(np.add.reduce(y * y))
+        if _all_zero(y, total):
+            raise DegenerateY("zero output norm")
+        return _nrmse(y, yhat, total)
 
 
 def _all_zero(y: np.ndarray, total: float) -> bool:
@@ -89,20 +89,23 @@ def _all_zero(y: np.ndarray, total: float) -> bool:
 
 def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float) -> float:
     """`nrmse` of flat float arrays given total = sum(y * y); y is not all
-    zeros."""
+    zeros.  Call it under `np.errstate(all="ignore")`."""
     if not sys.float_info.min <= total < math.inf:
         # sum(y * y) overflowed or fell below the normal range; the ratio
         # does not depend on the scale of y
         scale = float(np.max(np.abs(y)))
-        with np.errstate(all="ignore"):
-            y, yhat = y / scale, yhat / scale
-        total = float(np.sum(y * y))
-    with np.errstate(all="ignore"):
-        sq = (y - yhat) ** 2
-    finite = np.isfinite(sq)
-    if not finite.all():
-        sq = np.where(finite, sq, NONFINITE_PENALTY * NONFINITE_PENALTY * total / len(y))
-    return float(np.sqrt(np.sum(sq) / total))
+        y, yhat = y / scale, yhat / scale
+        total = float(np.add.reduce(y * y))
+    sq = (y - yhat) ** 2
+    err = np.add.reduce(sq)
+    # a finite sum has only finite terms; a non-finite one has a non-finite
+    # term or overflowed
+    if not math.isfinite(err):
+        finite = np.isfinite(sq)
+        if not finite.all():
+            err = np.add.reduce(np.where(finite, sq, NONFINITE_PENALTY * NONFINITE_PENALTY
+                                         * total / len(y)))
+    return float(np.sqrt(err / total))
 
 
 # -- polynomial regression -----------------------------------------------------
@@ -187,32 +190,33 @@ def _fit_error(y: np.ndarray, pred: np.ndarray, total: float) -> float:
     return NONFINITE_PENALTY if _all_zero(y, total) else _nrmse(y, pred, total)
 
 
-def _fit_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarray,
-                   total: float) -> tuple[np.ndarray, float]:
-    """Fit placeholders by one finite-difference Gauss-Newton step from 1.0;
-    (theta, error), where theta stays at 1.0 unless the step lowers the error.
+def _fit_constants(f: Compiled, y: np.ndarray, total: float) -> tuple[np.ndarray, float]:
+    """Fit the placeholders of the compiled skeleton `f` by one
+    finite-difference Gauss-Newton step from 1.0; (theta, error), where
+    theta stays at 1.0 unless the step lowers the error.
 
-    `total` is sum(y * y).
+    `total` is sum(y * y).  Call it under `np.errstate(all="ignore")`.
     """
-    theta = np.ones(len(names))
-    pred0 = evaluate(dag, X, dict(zip(names, theta)))
+    k = len(f.names)
+    theta = np.ones(k)
+    pred0 = f(theta)
     best = _fit_error(y, pred0, total)
     if not np.isfinite(pred0).all():
         return theta, best
     # linearization step
     try:
         eps = 1e-6
-        J = np.empty((len(y), len(names)))
-        for j in range(len(names)):
+        J = np.empty((len(y), k))
+        for j in range(k):
             tj = theta.copy()
             tj[j] += eps
-            pj = evaluate(dag, X, dict(zip(names, tj)))
+            pj = f(tj)
             if not np.isfinite(pj).all():
                 return theta, best
             J[:, j] = (pj - pred0) / eps
         step, *_ = np.linalg.lstsq(J, y - pred0, rcond=None)
         cand = theta + step
-        val = _fit_error(y, evaluate(dag, X, dict(zip(names, cand))), total)
+        val = _fit_error(y, f(cand), total)
         if np.isfinite(val) and val < best:
             theta, best = cand, val
     except (ValueError, FloatingPointError):
@@ -220,13 +224,15 @@ def _fit_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarray,
     return theta, best
 
 
-def _refine_constants(dag: ExprDag, names: list[str], X: np.ndarray, y: np.ndarray,
-                      total: float, theta: np.ndarray, best: float) -> tuple[np.ndarray, float]:
-    """Bounded Nelder-Mead from `_fit_constants`' (theta, best); the simplex
-    result replaces them only when its error is lower."""
+def _refine_constants(f: Compiled, y: np.ndarray, total: float, theta: np.ndarray,
+                      best: float) -> tuple[np.ndarray, float]:
+    """Bounded Nelder-Mead over the placeholders of the compiled skeleton
+    `f` from `_fit_constants`' (theta, best); the simplex result replaces
+    them only when its error is lower.  Call it under
+    `np.errstate(all="ignore")`."""
 
     def objective(t: np.ndarray) -> float:
-        return _fit_error(y, evaluate(dag, X, dict(zip(names, t))), total)
+        return _fit_error(y, f(t), total)
 
     res = minimize(objective, theta, method="Nelder-Mead",
                    options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
@@ -248,38 +254,39 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     if budget is None:
         budget = GrammarBudget(max_intermediary_nodes=2, allow_constants=True)
     X, y = ds.X, ds.y
-    with np.errstate(over="ignore"):
-        total = float(np.sum(y * y))
-
-    b = DagBuilder()
-    const_model = b.extract(b.const(float(np.mean(y))), ds.d)
-    best_err = _fit_error(y, np.full(ds.n, float(np.mean(y))), total)
-    best_expr = const_model
-
-    # (error, skeleton position, fitted constants or None without placeholders)
     skeletons = _skeletons(ds.d, budget, max_skeletons)
-    candidates: list[tuple[float, int, np.ndarray | None]] = []
-    for pos, skel in enumerate(skeletons):
-        names = skel.placeholders()
-        if not names:
-            if _all_zero(y, total):
-                continue
-            candidates.append((_nrmse(y, evaluate(skel, X), total), pos, None))
-        else:
-            theta, err = _fit_constants(skel, names, X, y, total)
-            candidates.append((err, pos, theta))
+    # one errstate for both passes; each skeleton is compiled once per pass,
+    # and a first-pass program is dropped after its fit
+    with np.errstate(all="ignore"):
+        total = float(np.add.reduce(y * y))
+        b = DagBuilder()
+        const_model = b.extract(b.const(float(np.mean(y))), ds.d)
+        best_err = _fit_error(y, np.full(ds.n, float(np.mean(y))), total)
+        best_expr = const_model
 
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    for err, pos, theta in candidates[:REFINE_TOP]:
-        expr = skeletons[pos]
-        if theta is not None:
-            names = expr.placeholders()
-            theta, err = _refine_constants(expr, names, X, y, total, theta, err)
-            expr = bind_placeholders(expr, dict(zip(names, theta)))
-        if err < best_err - 1e-15 or (
-            abs(err - best_err) <= 1e-15 and complexity(expr) < complexity(best_expr)
-        ):
-            best_err, best_expr = err, expr
+        # (error, skeleton position, fitted constants or None without placeholders)
+        candidates: list[tuple[float, int, np.ndarray | None]] = []
+        for pos, skel in enumerate(skeletons):
+            names = skel.placeholders()
+            if not names:
+                if _all_zero(y, total):
+                    continue
+                candidates.append((_nrmse(y, Compiled(skel, X, names)(()), total), pos, None))
+            else:
+                theta, err = _fit_constants(Compiled(skel, X, names), y, total)
+                candidates.append((err, pos, theta))
+
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        for err, pos, theta in candidates[:REFINE_TOP]:
+            expr = skeletons[pos]
+            if theta is not None:
+                names = expr.placeholders()
+                theta, err = _refine_constants(Compiled(expr, X, names), y, total, theta, err)
+                expr = bind_placeholders(expr, dict(zip(names, theta)))
+            if err < best_err - 1e-15 or (
+                abs(err - best_err) <= 1e-15 and complexity(expr) < complexity(best_expr)
+            ):
+                best_err, best_expr = err, expr
     return best_expr
 
 

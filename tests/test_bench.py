@@ -1,5 +1,8 @@
 """Benchmark harness: sampler, noise, metrics, reports."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -225,6 +228,35 @@ def test_run_benchmark_worker_count_does_not_change_results(tmp_path):
     for a, b in zip(r1.rows, r2.rows):
         assert a["reduction_rate"] == b["reduction_rate"]
         assert a.get("beam_nrmse") == b.get("beam_nrmse")
+
+
+def test_run_benchmark_crashed_worker_costs_one_row(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers inherit the monkeypatched crash")
+    problems = load_corpus(_smoke_corpus(tmp_path))[:4]
+    kwargs = dict(cfg=BeamConfig(), spec=RegressorSpec(kind="poly"),
+                  noise=NoiseLevel(0.0), seed=29, n_samples=200, fit_models=False)
+    serial = run_benchmark(problems, workers=1, **kwargs)
+    crash = problems[1].id
+    unpatched = bench.run_problem
+
+    def run_or_crash(p, *args):
+        if p.id == crash:
+            os._exit(1)
+        return unpatched(p, *args)
+
+    monkeypatch.setattr(bench, "run_problem", run_or_crash)
+    pooled = run_benchmark(problems, workers=2, **kwargs)
+    assert [r["id"] for r in pooled.rows] == [p.id for p in problems]
+    broken = pooled.rows[1]
+    assert broken["status"] == "BrokenProcessPool"
+    assert broken["d"] == problems[1].d and broken["error"]
+    for want, got in zip(serial.rows, pooled.rows):
+        if want["id"] != crash:
+            assert {k: v for k, v in got.items() if k != "wall_time"} == \
+                {k: v for k, v in want.items() if k != "wall_time"}
+    assert pooled.traces == [rec for rec in serial.traces if rec["id"] != crash]
+    assert pooled.aggregates["n_ok"] == 3
 
 
 @pytest.mark.parametrize("text", ["x1*x2*x3", "x1*x2+x3"])

@@ -31,6 +31,7 @@ from srsub.dag import (
     BINARY_OPS,
     OPS,
     UNARY_OPS,
+    Compiled,
     Const,
     DagBuilder,
     ExprDag,
@@ -164,6 +165,21 @@ def test_evaluate_bitwise_equal_to_nodewise(dag, c0, c1, X):
     want = evaluate_nodewise(dag, X, params)
     assert got.dtype == want.dtype and got.shape == want.shape == (len(X),)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag=st.one_of(dags(), constant_operand_dags()), c0=_PARAM, c1=_PARAM,
+       X=guard_points(3))
+def test_compiled_program_reused_across_calls_equals_nodewise(dag, c0, c1, X):
+    # one program called along a fit's sequence of constants: each call
+    # overwrites the last one's values, and none may leak into the next
+    names = ("c0", "c1")
+    with np.errstate(all="ignore"):
+        program = Compiled(dag, X, names)
+        for theta in ((1.0, 1.0), (1.0 + 1e-6, 1.0), (0.0, 0.0), (1e155, 1e155), (c0, c1)):
+            got = program(np.array(theta))
+            want = evaluate_nodewise(dag, X, dict(zip(names, theta)))
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _constant_operand_cases():

@@ -25,7 +25,7 @@ from srsub import (
 )
 from srsub import regress
 from srsub.beamsearch import SearchNode, _score_dataset, SearchResult
-from srsub.dag import DagBuilder
+from srsub.dag import Compiled, DagBuilder
 from srsub.errors import DegenerateY, ExternalFailure
 from srsub.exprtext import to_text
 from srsub.regress import holdout_mask
@@ -280,15 +280,21 @@ def _affine_data():
     return X, 3.0 * X[:, 0] - 0.5 + 0.01 * rng.normal(size=80)
 
 
+def _count_program_calls(monkeypatch):
+    """Count the calls of every compiled program from here on."""
+    counter = _Counter(Compiled.__call__)
+    monkeypatch.setattr(Compiled, "__call__", lambda self, theta: counter(self, theta))
+    return counter
+
+
 def test_first_pass_evaluates_each_point_once(monkeypatch):
     # one evaluation at theta = 1, one per placeholder for the Jacobian and
     # one at the Gauss-Newton point: k + 2
     skel = _affine_skeleton()
     names = skel.placeholders()
     X, y = _affine_data()
-    counter = _Counter(regress.evaluate)
-    monkeypatch.setattr(regress, "evaluate", counter)
-    theta, err = regress._fit_constants(skel, names, X, y, float(np.sum(y * y)))
+    counter = _count_program_calls(monkeypatch)
+    theta, err = regress._fit_constants(Compiled(skel, X, names), y, float(np.sum(y * y)))
     assert counter.calls == len(names) + 2
     assert err < 0.01
     assert err == nrmse(y, evaluate(skel, X, dict(zip(names, theta))))
@@ -299,12 +305,12 @@ def test_refine_evaluates_once_per_simplex_evaluation(monkeypatch):
     names = skel.placeholders()
     X, y = _affine_data()
     total = float(np.sum(y * y))
-    theta, err = regress._fit_constants(skel, names, X, y, total)
-    evaluations = _Counter(regress.evaluate)
+    program = Compiled(skel, X, names)
+    theta, err = regress._fit_constants(program, y, total)
+    evaluations = _count_program_calls(monkeypatch)
     simplex = _Counter(regress.minimize)
-    monkeypatch.setattr(regress, "evaluate", evaluations)
     monkeypatch.setattr(regress, "minimize", simplex)
-    _, refined = regress._refine_constants(skel, names, X, y, total, theta, err)
+    _, refined = regress._refine_constants(program, y, total, theta, err)
     assert simplex.calls == 1
     assert evaluations.calls == simplex.results[0].nfev
     assert refined <= err
