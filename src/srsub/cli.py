@@ -31,7 +31,6 @@ from .errors import SrsubError
 from .exprtext import parse, to_text
 from .grammar import GrammarBudget
 from .regress import RegressorSpec, holdout_mask, solve_pipeline, write_csv
-from .simplify import complexity
 from .substitution import Dataset, InputSub, OutInputSub, verify_substitution
 
 EXIT_OK = 0

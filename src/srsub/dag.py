@@ -6,11 +6,16 @@ the builder), commutative operands are ordered canonically, and every dag
 carries a structural key so that two semantically identical constructions
 compare equal.
 
-Numeric evaluation has one node walker, `Compiled`: a dag on a fixed design
-matrix as a function of its placeholder values.  Building it computes every
-node that reads no placeholder; each call computes only the nodes that do.
-`evaluate` compiles and calls once; the dagsearch fit compiles a skeleton
-once and calls it at every constant vector it tries.
+Two functions walk a dag's nodes children first and build a value per node.
+`fold` is the general one: rebuilding (`DagBuilder.copy_from`), occurrence
+counts, the sympy form, the complexity measure and the printed text all go
+through it.  Numeric evaluation has its own walker, `Compiled`: a dag on a
+fixed design matrix as a function of its placeholder values.  Building it
+computes every node that reads no placeholder and records which nodes do,
+so each call computes only those; a fold would recompute every node at every
+call of the dagsearch fit.  `evaluate` compiles and calls once; the
+dagsearch fit compiles a skeleton once and calls it at every constant vector
+it tries.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 import numpy as np
 import sympy as sp
@@ -117,6 +122,26 @@ class Binary:
 
 Node = Union[Var, Const, Unary, Binary]
 
+T = TypeVar("T")
+
+
+def fold(nodes: Sequence[Node], var: Callable[[int], T], const: Callable[[Const], T],
+         unary: Callable[[str, T], T], binary: Callable[[str, T, T], T]) -> list[T]:
+    """Per node of `nodes` (children before parents), in storage order, a
+    value built from its children's values: `var(index)`, `const(node)`,
+    `unary(op, child value)` or `binary(op, left value, right value)`."""
+    vals: list[T] = []
+    for node in nodes:
+        if isinstance(node, Var):
+            vals.append(var(node.index))
+        elif isinstance(node, Const):
+            vals.append(const(node))
+        elif isinstance(node, Unary):
+            vals.append(unary(node.op, vals[node.child]))
+        else:
+            vals.append(binary(node.op, vals[node.left], vals[node.right]))
+    return vals
+
 
 def _const_repr(value: float) -> str:
     # the magnitude test comes first: int() raises on inf and nan
@@ -202,22 +227,13 @@ class DagBuilder:
         children and defaults to this builder's own method: `var(index)`,
         `param(name)`, `unary(op, child)` and `binary(op, left, right)`.
         """
-        var = var or self.var
         param = param or self.param
-        unary = unary or self.unary
-        binary = binary or self.binary
-        memo: list[int] = []
-        for node in dag.nodes:
-            if isinstance(node, Var):
-                memo.append(var(node.index))
-            elif isinstance(node, Const):
-                memo.append(param(node.name or "c") if node.is_placeholder
-                            else self.const(node.value))
-            elif isinstance(node, Unary):
-                memo.append(unary(node.op, memo[node.child]))
-            else:
-                memo.append(binary(node.op, memo[node.left], memo[node.right]))
-        return memo[dag.root]
+
+        def const(node: Const) -> int:
+            return param(node.name or "c") if node.is_placeholder else self.const(node.value)
+
+        return fold(dag.nodes, var or self.var, const, unary or self.unary,
+                    binary or self.binary)[dag.root]
 
     def extract(self, root: int, arity: int) -> "ExprDag":
         """Snapshot the subgraph reachable from `root` as an ExprDag, its
@@ -307,15 +323,8 @@ class ExprDag:
 def _occurrences(nodes: Sequence[Node], target: int) -> list[int]:
     """Per node, the occurrences of Var(target) in its expanded tree: a
     shared node's count enters once per parent edge."""
-    counts: list[int] = []
-    for node in nodes:
-        if isinstance(node, Unary):
-            counts.append(counts[node.child])
-        elif isinstance(node, Binary):
-            counts.append(counts[node.left] + counts[node.right])
-        else:
-            counts.append(1 if isinstance(node, Var) and node.index == target else 0)
-    return counts
+    return fold(nodes, lambda index: int(index == target), lambda node: 0,
+                lambda op, child: child, lambda op, left, right: left + right)
 
 
 # -- construction helpers ---------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .dag import OPS, Const, DagBuilder, ExprDag, Unary, Var, _const_repr
+from .dag import OPS, Const, DagBuilder, ExprDag, _const_repr, fold
 from .errors import UnsupportedExpression
 
 # the ops printed in call form, ``name(arg)``
@@ -173,24 +173,24 @@ def to_text(dag: ExprDag, var_names: dict[int, str] | None = None) -> str:
     """Render a dag as infix text; parse(to_text(e)) is structurally e."""
     names = var_names or {}
 
-    def render(nid: int) -> tuple[str, int]:
-        # returns (text, precedence); atoms get precedence 9
-        node = dag.nodes[nid]
-        if isinstance(node, Var):
-            return names.get(node.index, f"x{node.index + 1}"), 9
-        if isinstance(node, Const):
-            if node.is_placeholder:
-                return node.name or "c0", 9
-            v = node.value
-            if v < 0:
-                return f"-{_const_repr(-v)}", 0
-            return _const_repr(v), 9
-        op = OPS[node.op]
-        if isinstance(node, Unary):
-            inner, _ = render(node.child)
-            return op.text.format(inner), op.prec
-        text_l, prec_l = render(node.left)
-        text_r, prec_r = render(node.right)
+    # each node's value is (text, precedence); atoms get precedence 9
+    def var(index: int) -> tuple[str, int]:
+        return names.get(index, f"x{index + 1}"), 9
+
+    def const(node: Const) -> tuple[str, int]:
+        if node.is_placeholder:
+            return node.name or "c0", 9
+        if node.value < 0:
+            return f"-{_const_repr(-node.value)}", 0
+        return _const_repr(node.value), 9
+
+    def unary(name: str, child: tuple[str, int]) -> tuple[str, int]:
+        op = OPS[name]
+        return op.text.format(child[0]), op.prec
+
+    def binary(name: str, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+        op = OPS[name]
+        (text_l, prec_l), (text_r, prec_r) = left, right
         if prec_l < op.prec:
             text_l = f"({text_l})"
         # parenthesize an equal-precedence right child so the left-associative
@@ -199,5 +199,4 @@ def to_text(dag: ExprDag, var_names: dict[int, str] | None = None) -> str:
             text_r = f"({text_r})"
         return op.text.format(text_l, text_r), op.prec
 
-    text, _ = render(dag.root)
-    return text
+    return fold(dag.nodes, var, const, unary, binary)[dag.root][0]

@@ -185,22 +185,18 @@ def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> tuple[ExprDag, ..
     return _skeleton_cache[key]
 
 
-def _fit_error(y: np.ndarray, pred: np.ndarray, total: float) -> float:
-    """The fit objective: `nrmse`, or the penalty when y is all zeros."""
-    return NONFINITE_PENALTY if _all_zero(y, total) else _nrmse(y, pred, total)
-
-
 def _fit_constants(f: Compiled, y: np.ndarray, total: float) -> tuple[np.ndarray, float]:
     """Fit the placeholders of the compiled skeleton `f` by one
     finite-difference Gauss-Newton step from 1.0; (theta, error), where
     theta stays at 1.0 unless the step lowers the error.
 
-    `total` is sum(y * y).  Call it under `np.errstate(all="ignore")`.
+    `total` is sum(y * y), and y is not all zeros.  Call it under
+    `np.errstate(all="ignore")`.
     """
     k = len(f.names)
     theta = np.ones(k)
     pred0 = f(theta)
-    best = _fit_error(y, pred0, total)
+    best = _nrmse(y, pred0, total)
     if not np.isfinite(pred0).all():
         return theta, best
     # linearization step
@@ -216,7 +212,7 @@ def _fit_constants(f: Compiled, y: np.ndarray, total: float) -> tuple[np.ndarray
             J[:, j] = (pj - pred0) / eps
         step, *_ = np.linalg.lstsq(J, y - pred0, rcond=None)
         cand = theta + step
-        val = _fit_error(y, f(cand), total)
+        val = _nrmse(y, f(cand), total)
         if np.isfinite(val) and val < best:
             theta, best = cand, val
     except (ValueError, FloatingPointError):
@@ -232,7 +228,7 @@ def _refine_constants(f: Compiled, y: np.ndarray, total: float, theta: np.ndarra
     `np.errstate(all="ignore")`."""
 
     def objective(t: np.ndarray) -> float:
-        return _fit_error(y, f(t), total)
+        return _nrmse(y, f(t), total)
 
     res = minimize(objective, theta, method="Nelder-Mead",
                    options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
@@ -247,30 +243,30 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     refine those of the `REFINE_TOP` best skeletons, and return the
     minimum-NRMSE expression (ties to lower complexity).
 
-    The worst case is the constant model y = mean.
+    The worst case is the constant model y = mean, which is also the model
+    for a y of all zeros.
     """
     if ds.n < 20:
         raise ValueError("need at least 20 rows")
     if budget is None:
         budget = GrammarBudget(max_intermediary_nodes=2, allow_constants=True)
     X, y = ds.X, ds.y
-    skeletons = _skeletons(ds.d, budget, max_skeletons)
     # one errstate for both passes; each skeleton is compiled once per pass,
     # and a first-pass program is dropped after its fit
     with np.errstate(all="ignore"):
         total = float(np.add.reduce(y * y))
         b = DagBuilder()
-        const_model = b.extract(b.const(float(np.mean(y))), ds.d)
-        best_err = _fit_error(y, np.full(ds.n, float(np.mean(y))), total)
-        best_expr = const_model
+        best_expr = b.extract(b.const(float(np.mean(y))), ds.d)
+        if _all_zero(y, total):
+            return best_expr
+        skeletons = _skeletons(ds.d, budget, max_skeletons)
+        best_err = _nrmse(y, np.full(ds.n, float(np.mean(y))), total)
 
         # (error, skeleton position, fitted constants or None without placeholders)
         candidates: list[tuple[float, int, np.ndarray | None]] = []
         for pos, skel in enumerate(skeletons):
             names = skel.placeholders()
             if not names:
-                if _all_zero(y, total):
-                    continue
                 candidates.append((_nrmse(y, Compiled(skel, X, names)(()), total), pos, None))
             else:
                 theta, err = _fit_constants(Compiled(skel, X, names), y, total)

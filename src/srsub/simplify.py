@@ -12,15 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .dag import (
-    OPS,
-    Binary,
-    Const,
-    DagBuilder,
-    ExprDag,
-    Unary,
-    Var,
-)
+from .dag import OPS, Binary, Const, DagBuilder, ExprDag, Unary, fold
 
 _INVERSE_PAIRS = {("exp", "log"), ("log", "exp"), ("neg", "neg"),
                   ("inv", "inv"), ("square", "sqrt")}
@@ -227,20 +219,14 @@ def complexity(dag: ExprDag) -> int:
     tree.
     """
     s = simplify(dag)
-    counts: list[int] = []
-    for node in s.nodes:
-        if isinstance(node, (Var, Const)):
-            counts.append(1)
-        elif isinstance(node, Unary):
-            if node.op == "square":
-                counts.append(1 + 2 * counts[node.child])
-            elif node.op == "inv":
-                counts.append(2 + counts[node.child])
-            else:
-                counts.append(1 + counts[node.child])
-        else:
-            counts.append(1 + counts[node.left] + counts[node.right])
-    return counts[s.root]
+
+    def unary(op: str, child: int) -> int:
+        if op == "square":
+            return 1 + 2 * child
+        return (2 if op == "inv" else 1) + child
+
+    return fold(s.nodes, lambda index: 1, lambda node: 1, unary,
+                lambda op, left, right: 1 + left + right)[s.root]
 
 
 def subexpressions(dag: ExprDag) -> set[ExprDag]:

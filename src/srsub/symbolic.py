@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import sympy as sp
 
-from .dag import OPS, Const, DagBuilder, ExprDag, Unary, Var, evaluate
+from .dag import OPS, Const, DagBuilder, ExprDag, evaluate, fold
 from .errors import Inconclusive
 from .simplify import simplify
 
@@ -55,25 +55,19 @@ def to_sympy(dag: ExprDag, subs: Sequence[sp.Expr] | None = None) -> sp.Expr:
     `subs` optionally supplies the expression for each variable slot;
     by default slot i maps to the real symbol ``x{i+1}``.
     """
-    vals: list[sp.Expr] = []
-    for node in dag.nodes:
-        if isinstance(node, Var):
-            if subs is not None:
-                vals.append(subs[node.index])
-            else:
-                vals.append(_sym(node.index))
-        elif isinstance(node, Const):
-            if node.is_placeholder:
-                vals.append(sp.Symbol(node.name or "c", real=True))
-            elif abs(node.value) < 1e15 and node.value == int(node.value):
-                vals.append(sp.Integer(int(node.value)))
-            else:
-                vals.append(sp.Float(node.value))
-        elif isinstance(node, Unary):
-            vals.append(OPS[node.op].sympy(vals[node.child]))
-        else:
-            vals.append(OPS[node.op].sympy(vals[node.left], vals[node.right]))
-    return vals[dag.root]
+
+    def var(index: int) -> sp.Expr:
+        return _sym(index) if subs is None else subs[index]
+
+    def const(node: Const) -> sp.Expr:
+        if node.is_placeholder:
+            return sp.Symbol(node.name or "c", real=True)
+        if abs(node.value) < 1e15 and node.value == int(node.value):
+            return sp.Integer(int(node.value))
+        return sp.Float(node.value)
+
+    return fold(dag.nodes, var, const, lambda op, child: OPS[op].sympy(child),
+                lambda op, left, right: OPS[op].sympy(left, right))[dag.root]
 
 
 def _with_assumption(expr: sp.Expr, positive: bool) -> sp.Expr:
@@ -121,15 +115,16 @@ def sample_valid_points(fn: Callable[[np.ndarray], np.ndarray], arity: int,
                         n_points: int, rng: np.random.Generator,
                         max_grow: float = 150.0) -> np.ndarray:
     """Draw uniform points on a growing cube [-c, c]^arity, keeping rows where
-    `fn` evaluates to a finite value, until `n_points` rows are collected."""
+    `fn` evaluates to a finite value, until `n_points` rows are collected.
+
+    `fn` must ignore floating-point errors itself, as the functions that
+    `_dag_fn` and `lambdify_fn` return do."""
     collected: list[np.ndarray] = []
     total = 0
     c = 1.0
     while total < n_points and c <= max_grow:
         pts = rng.uniform(-c, c, size=(max(2 * n_points, 32), max(arity, 1)))
-        with np.errstate(all="ignore"):
-            vals = fn(pts)
-        mask = np.isfinite(vals)
+        mask = np.isfinite(fn(pts))
         keep = pts[mask]
         if keep.size:
             collected.append(keep[: n_points - total])
@@ -143,7 +138,8 @@ def sample_valid_points(fn: Callable[[np.ndarray], np.ndarray], arity: int,
 def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
                     targets: Sequence[int], rng: np.random.Generator) -> bool | None:
     """Perturb the target coordinates at valid base points; None when too few
-    valid comparisons could be made."""
+    valid comparisons could be made.  `fn` must ignore floating-point errors
+    itself."""
     targets = list(targets)
     compared = 0
     c = 1.0
@@ -152,9 +148,8 @@ def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
         if len(base):
             pert = base.copy()
             pert[:, targets] = rng.uniform(-c, c, size=(len(base), len(targets)))
-            with np.errstate(all="ignore"):
-                v0 = fn(base)
-                v1 = fn(pert)
+            v0 = fn(base)
+            v1 = fn(pert)
             ok = np.isfinite(v0) & np.isfinite(v1)
             if ok.any():
                 diff = np.abs(v0[ok] - v1[ok])
@@ -169,11 +164,13 @@ def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
 
 def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int,
                      rng: np.random.Generator) -> bool | None:
+    """Whether `fn` is constant, up to a relative spread of 1e-6, at points
+    where it is finite; None when fewer than 10 such points were found.
+    `fn` must ignore floating-point errors itself."""
     pts = sample_valid_points(fn, arity, _CONST_POINTS, rng)
     if len(pts) < 10:
         return None
-    with np.errstate(all="ignore"):
-        vals = fn(pts)
+    vals = fn(pts)
     vals = vals[np.isfinite(vals)]
     if len(vals) < 10:
         return None

@@ -366,3 +366,25 @@ def test_survivors_equal_sorting_every_child(beam_size, which):
     first = next(node for node in nodes if node.score == top)
     assert result.best.seq == first.seq
     assert [node.seq for node in result.best_path][-1] == first.seq
+
+
+@pytest.mark.parametrize("measure", ["xi", "codec", "kmac", "volume"])
+def test_scores_equal_fresh_scores_under_every_measure(monkeypatch, measure):
+    # zeros in x3 make out-input candidates such as y/x3 drop rows, and
+    # out-input children of one parent share neighbour maps; level 2
+    # children have one column, where xi is the univariate coefficient
+    rng = np.random.default_rng(1)
+    X = np.column_stack([rng.uniform(0.5, 2.0, 300), rng.uniform(0.5, 2.0, 300),
+                         rng.uniform(-1.0, 2.0, 300)])
+    X[::20, 2] = 0.0
+    ds = Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2])
+    calls = _record_scoring(monkeypatch)
+    result = search(ds, BeamConfig(beam_size=3, measure=measure,
+                                   budget=GrammarBudget(max_intermediary_nodes=0)))
+    survivors = [node for level in result.all_levels for node in level]
+    assert {node.depth for node in survivors} == {1, 2}
+    assert any(isinstance(s, OutInputSub) and c.n < p.dataset.n for p, s, c, _ in calls)
+    # every scored child, survivors included, as if scored with no shared
+    # ranks or neighbour maps
+    for _, _, child, score in calls:
+        assert score == _score_dataset(child, measure)

@@ -123,6 +123,11 @@ def test_parse_print_roundtrip_random_enumerated():
     assert count >= 100
 
 
+def test_print_deeper_than_the_recursion_limit():
+    # the sum is a chain of 1,499 + nodes, each over the previous one
+    assert to_text(parse("+".join(["x1"] * 1500))).count("x1") == 1500
+
+
 def test_parse_rejects_garbage():
     from srsub.errors import UnsupportedExpression
 

@@ -25,7 +25,7 @@ from srsub import (
 )
 from srsub import regress
 from srsub.beamsearch import SearchNode, _score_dataset, SearchResult
-from srsub.dag import Compiled, DagBuilder
+from srsub.dag import Compiled, Const, DagBuilder
 from srsub.errors import DegenerateY, ExternalFailure
 from srsub.exprtext import to_text
 from srsub.regress import holdout_mask
@@ -96,7 +96,7 @@ def test_nrmse_when_sum_of_squares_overflows():
     assert nrmse(y, np.array([1e160, np.nan, 3e160])) == pytest.approx(
         10.0 / np.sqrt(3), rel=1e-12)
     # the dagsearch objective shares the formula
-    assert regress._fit_error(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
+    assert regress._nrmse(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_nrmse_when_sum_of_squares_underflows():
@@ -111,9 +111,8 @@ def test_nrmse_when_sum_of_squares_underflows():
         total = float(np.sum(y * y))
         assert 0.0 < total < sys.float_info.min
         assert nrmse(y, 0.5 * y) == pytest.approx(0.5, rel=1e-12)
-        assert regress._fit_error(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
-        assert regress._fit_error(y[:1], y[:1], 0.0) == 0.0
-        assert regress._fit_error(np.zeros(3), y, 0.0) == regress.NONFINITE_PENALTY
+        assert regress._nrmse(y, 0.5 * y, total) == pytest.approx(0.5, rel=1e-12)
+        assert regress._nrmse(y[:1], y[:1], 0.0) == 0.0
 
 
 def test_nrmse_degenerate():
@@ -230,6 +229,18 @@ def test_dagsearch_constant_fallback():
                          max_skeletons=50)
     pred = evaluate(expr, X)
     assert np.allclose(pred, 4.25, atol=1e-9)
+
+
+def test_dagsearch_all_zero_y_is_the_constant_zero(monkeypatch):
+    # every error would be the penalty, and no model is simpler than 0, so
+    # the fit returns the constant model without enumerating skeletons
+    def no_skeletons(*args):
+        raise AssertionError("skeletons enumerated for an all-zero y")
+
+    monkeypatch.setattr(regress, "_skeletons", no_skeletons)
+    X = np.random.default_rng(7).uniform(1, 2, size=(50, 2))
+    expr = fit_dagsearch(Dataset.from_arrays(X, np.zeros(50)))
+    assert expr.nodes == (Const(0.0),) and expr.arity == 2
 
 
 def _three_variable_dataset(text):
