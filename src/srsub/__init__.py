@@ -54,8 +54,6 @@ from .substitution import (
     Dataset,
     InputSub,
     OutInputSub,
-    apply_input,
-    apply_outinput,
     gen_input_candidates,
     gen_outinput_candidates,
     verify_input_sub,
@@ -90,8 +88,6 @@ __all__ = [
     "UnsupportedExpression",
     "Unverifiable",
     "add_noise",
-    "apply_input",
-    "apply_outinput",
     "chatterjee_xi",
     "codec",
     "complexity",

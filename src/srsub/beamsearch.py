@@ -29,6 +29,7 @@ from .substitution import (
     Substitution,
     aifeynman_candidates,
     apply_substitution,
+    column_maps,
     degenerate_column,
     gen_input_candidates,
     gen_outinput_candidates,
@@ -70,6 +71,10 @@ class SearchNode:
     @property
     def n_vars(self) -> int:
         return self.dataset.d
+
+    def path(self) -> list["SearchNode"]:
+        """The nodes from the search root to this node."""
+        return (self.parent.path() if self.parent is not None else []) + [self]
 
 
 @dataclass
@@ -203,13 +208,7 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
 
     # the first node with the highest score, root first, then level by level
     best = max(itertools.chain([root], *levels), key=lambda node: node.score)
-    path: list[SearchNode] = []
-    node: SearchNode | None = best
-    while node is not None:
-        path.append(node)
-        node = node.parent
-    path.reverse()
-    return SearchResult(best_path=path, all_levels=levels)
+    return SearchResult(best_path=best.path(), all_levels=levels)
 
 
 def trace_records(result: SearchResult) -> list[dict]:
@@ -249,19 +248,21 @@ def substitution_text(sub: Substitution | None) -> str | None:
     return f"outinput h({cols};y) = {to_text(sub.h, var_names=names)}"
 
 
-def reconstruct(ds: Dataset, solution: ExprDag) -> ExprDag:
-    """Translate a solution of a search node's problem `ds` back into the
-    original coordinates and solve for the original output.
+def reconstruct(node: SearchNode, solution: ExprDag) -> ExprDag:
+    """Translate a solution of a search node's problem back into the
+    coordinates of the search root and solve for the root's output.
 
-    `solution` is an expression over the columns of `ds`, whose column maps
-    carry the composed effect of every substitution on the path to it.
+    `solution` is an expression over the node's columns; `column_maps`
+    composes what they mean, relative to the root, along `node.path()`.
     Raises NotSolvable when the output cannot be isolated.
     """
-    d0 = ds.d_original
-    if solution.arity > ds.d:
+    if solution.arity > node.dataset.d:
         raise ValueError("solution uses more columns than the dataset has")
-    rhs = compose(solution, list(ds.var_map), d0 + 1)
-    solved = solve_for(ds.y_map, rhs, target=d0)
+    path = node.path()
+    d0 = path[0].dataset.d
+    columns, output = column_maps(d0, [n.edge for n in path[1:]])
+    rhs = compose(solution, columns, d0 + 1)
+    solved = solve_for(output, rhs, target=d0)
     used = solved.var_indices()
     if used and max(used) >= d0:
         raise ValueError("reconstruction left the original output symbol unresolved")

@@ -31,7 +31,7 @@ from .errors import SrsubError
 from .exprtext import parse, to_text
 from .grammar import GrammarBudget
 from .regress import RegressorSpec, holdout_mask, solve_pipeline, write_csv
-from .substitution import Dataset, InputSub, OutInputSub, verify_substitution
+from .substitution import Dataset, InputSub, OutInputSub, column_maps, verify_substitution
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,13 +126,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         for rec in trace_records(result):
             fh.write(json.dumps(rec) + "\n")
     for i, node in enumerate(result.best_path):
-        nds = node.dataset
-        write_csv(out / f"node_{i}.csv", nds.X, nds.y)
-        names = {nds.d_original: "y"}
+        write_csv(out / f"node_{i}.csv", node.dataset.X, node.dataset.y)
+        columns, output = column_maps(ds.d, [n.edge for n in node.path()[1:]])
         with open(out / f"node_{i}.maps.txt", "w") as fh:
-            for j, vm in enumerate(nds.var_map):
-                fh.write(f"x{j + 1} = {to_text(vm)}\n")
-            fh.write(f"y_new = {to_text(nds.y_map, var_names=names)}\n")
+            for j, col in enumerate(columns):
+                fh.write(f"x{j + 1} = {to_text(col)}\n")
+            fh.write(f"y_new = {to_text(output, var_names={ds.d: 'y'})}\n")
             if node.edge is not None:
                 fh.write(f"edge: {substitution_text(node.edge)}\n")
     _emit({

@@ -36,7 +36,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 class _Parser:
+    """Operator-precedence parser over explicit operand and operator stacks,
+    so nesting depth costs no recursion.  The operator stack holds binary
+    operators, open groups (``(`` or a function name) and unary minus signs
+    (``neg``), which bind a whole power and are applied as soon as their
+    operand is complete; nodes are built in recursive-descent order.
+    """
+
     def __init__(self, tokens: list[str], builder: DagBuilder,
                  var_names: dict[str, int] | None):
         self.tokens = tokens
@@ -61,41 +71,55 @@ class _Parser:
             raise UnsupportedExpression(f"expected {tok!r}, got {got!r}")
 
     def parse(self) -> int:
-        node = self.expr()
-        if self.peek() is not None:
-            raise UnsupportedExpression(f"trailing input at {self.peek()!r}")
-        return node
-
-    def expr(self) -> int:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = self.b.binary(op, node, self.term())
-        return node
-
-    def term(self) -> int:
-        node = self.signed()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            node = self.b.binary(op, node, self.signed())
-        return node
-
-    def signed(self) -> int:
-        # unary minus applies to a whole power: -x^2 is -(x^2)
-        if self.peek() == "-":
+        values: list[int] = []
+        ops: list[str] = []
+        groups = 0  # open groups on the operator stack
+        while True:
+            tok = self.take()
+            while tok in ("-", "+", "(") or tok in _FUNCTIONS:  # signs and openings
+                if tok in _FUNCTIONS:
+                    self.expect("(")
+                if tok != "+":
+                    ops.append("neg" if tok == "-" else tok)
+                    groups += tok != "-"
+                tok = self.take()
+            values.append(self.atom(tok))
+            while True:  # the operand's power and signs, then the groups it closes
+                values[-1] = self.power(values[-1])
+                while ops and ops[-1] == "neg":
+                    ops.pop()
+                    values[-1] = self.negate(values[-1])
+                tok = self.peek()
+                if tok in _BINARY_PREC or not groups:
+                    break
+                self.expect(")")
+                self.reduce(values, ops, 1)
+                opener = ops.pop()
+                groups -= 1
+                if opener != "(":
+                    values[-1] = self.b.unary(opener, values[-1])
+            if tok is None:
+                self.reduce(values, ops, 1)
+                return values[0]
+            if tok not in _BINARY_PREC:
+                raise UnsupportedExpression(f"trailing input at {tok!r}")
             self.take()
-            inner = self.signed()
-            node = self.b.nodes[inner]
-            if isinstance(node, Const) and not node.is_placeholder:
-                return self.b.const(-node.value)
-            return self.b.unary("neg", inner)
-        if self.peek() == "+":
-            self.take()
-            return self.signed()
-        return self.power()
+            self.reduce(values, ops, _BINARY_PREC[tok])
+            ops.append(tok)
 
-    def power(self) -> int:
-        base = self.atom()
+    def reduce(self, values: list[int], ops: list[str], prec: int) -> None:
+        """Apply the stacked binary operators of precedence `prec` or above."""
+        while ops and _BINARY_PREC.get(ops[-1], 0) >= prec:
+            right = values.pop()
+            values[-1] = self.b.binary(ops.pop(), values[-1], right)
+
+    def negate(self, inner: int) -> int:
+        node = self.b.nodes[inner]
+        if isinstance(node, Const) and not node.is_placeholder:
+            return self.b.const(-node.value)
+        return self.b.unary("neg", inner)
+
+    def power(self, base: int) -> int:
         if self.peek() in ("^", "**"):
             self.take()
             neg = False
@@ -122,17 +146,7 @@ class _Parser:
         sq = self.b.unary("square", half)
         return sq if exp % 2 == 0 else self.b.binary("*", base, sq)
 
-    def atom(self) -> int:
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok in _FUNCTIONS:
-            self.expect("(")
-            node = self.expr()
-            self.expect(")")
-            return self.b.unary(tok, node)
+    def atom(self, tok: str) -> int:
         if re.fullmatch(r"x\d+", tok):
             index = int(tok[1:]) - 1
             if index < 0:

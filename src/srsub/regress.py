@@ -357,12 +357,12 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) 
     ascending test NRMSE and in path order among equal errors, so `[0]` is
     the earliest node with the least error.  `holdout` holds the test rows
     of the problem's sample, as `restrict_rows` of the full or root dataset,
-    and its `X` and `y` are the test data; a holdout with substituted
-    columns raises ValueError.  Each node is fitted on its rows minus the
-    holdout rows, so no fit sees a test row; a node left with fewer than 3
-    rows is skipped.
+    and its `X` and `y` are the test data; a holdout whose width differs
+    from the root's raises ValueError.  Each node is fitted on its rows
+    minus the holdout rows, so no fit sees a test row; a node left with
+    fewer than 3 rows is skipped.
     """
-    if holdout.d != holdout.d_original:
+    if holdout.d != result.root.dataset.d:
         raise ValueError("holdout must be rows of the original, unsubstituted dataset")
     fits: list[SolveResult] = []
     for node in result.best_path:
@@ -371,7 +371,7 @@ def solve_pipeline(result: SearchResult, spec: RegressorSpec, holdout: Dataset) 
             continue
         try:
             sol = fit(node.dataset.restrict_rows(train), spec)
-            expr = reconstruct(node.dataset, sol)
+            expr = reconstruct(node, sol)
             err = nrmse(holdout.y, evaluate(expr, holdout.X))
         except (NotSolvable, DegenerateY, ExternalFailure, ValueError):
             continue

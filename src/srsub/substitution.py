@@ -2,9 +2,10 @@
 
 An input substitution replaces a set of input columns by one derived column
 g(x_I); an out-input substitution replaces the output column by h(x_I, y) and
-drops the columns in I.  Datasets track, for every current column and for the
-current output, the expression over the original coordinates that produced
-it, so solutions of reduced problems can be translated back.
+drops the columns in I.  A dataset holds arrays only; `column_maps` composes
+what its columns and output mean over the search root's coordinates from the
+substitutions on its search path, so solutions of reduced problems can be
+translated back.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import sympy as sp
@@ -71,19 +72,15 @@ Substitution = InputSub | OutInputSub
 
 @dataclass
 class Dataset:
-    """Observation matrix with provenance back to the original coordinates.
+    """Observation matrix of a search node.
 
-    var_map[i] describes column i as an expression over the original inputs;
-    y_map describes the current output over the original inputs plus the
-    original output in its last slot.  origin_rows holds the surviving rows'
-    indices in the problem's full sample; a node keeps only these, and the
-    sample itself holds the original coordinates.
+    origin_rows holds the surviving rows' indices in the problem's full
+    sample.  What the columns and the output mean, relative to the search
+    root, is not stored: `column_maps` composes it from the node's path.
     """
 
     X: np.ndarray
     y: np.ndarray
-    var_map: tuple[ExprDag, ...]
-    y_map: ExprDag
     origin_rows: np.ndarray
 
     @property
@@ -93,10 +90,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def d_original(self) -> int:
-        return self.y_map.arity - 1
 
     @classmethod
     def from_arrays(cls, X: np.ndarray, y: np.ndarray) -> "Dataset":
@@ -108,22 +101,10 @@ class Dataset:
             raise ValueError("need at least one input column")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("dataset entries must be finite")
-        d = X.shape[1]
-        return cls(
-            X=X,
-            y=y,
-            var_map=tuple(variable(i, d) for i in range(d)),
-            y_map=variable(d, d + 1),
-            origin_rows=np.arange(len(y)),
-        )
+        return cls(X=X, y=y, origin_rows=np.arange(len(y)))
 
     def restrict_rows(self, mask: np.ndarray) -> "Dataset":
-        return replace(
-            self,
-            X=self.X[mask],
-            y=self.y[mask],
-            origin_rows=self.origin_rows[mask],
-        )
+        return Dataset(self.X[mask], self.y[mask], self.origin_rows[mask])
 
 
 # -- candidate generation -----------------------------------------------------
@@ -240,37 +221,44 @@ def _finite_rows(values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def apply_input(ds: Dataset, sub: InputSub) -> Dataset:
-    """Transformed dataset with column g(x_I) followed by the retained
-    columns; rows where g is non-finite are dropped."""
-    if any(i >= ds.d for i in sub.I):
-        raise ValueError("substitution indices outside dataset columns")
-    col = evaluate(sub.g, ds.X[:, sub.I])
-    mask = _finite_rows(col)
-    keep = _retained(ds.d, sub.I)
-    g_map = compose(sub.g, [ds.var_map[i] for i in sub.I], ds.d_original)
-    return replace(ds, X=np.column_stack([col, ds.X[:, keep]]),
-                   var_map=(g_map,) + tuple(ds.var_map[j] for j in keep)).restrict_rows(mask)
-
-
-def apply_outinput(ds: Dataset, sub: OutInputSub) -> Dataset:
-    """Transformed dataset with output h(x_I, y) and the I columns dropped."""
-    if any(i >= ds.d for i in sub.I):
-        raise ValueError("substitution indices outside dataset columns")
-    if len(sub.I) >= ds.d:
-        raise ValueError("out-input substitution must leave at least one input")
-    new_y = evaluate(sub.h, np.column_stack([ds.X[:, sub.I], ds.y]))
-    mask = _finite_rows(new_y)
-    keep = _retained(ds.d, sub.I)
-    y_map = compose(sub.h, [ds.var_map[i] for i in sub.I] + [ds.y_map], ds.d_original + 1)
-    return replace(ds, X=ds.X[:, keep], y=new_y, var_map=tuple(ds.var_map[j] for j in keep),
-                   y_map=y_map).restrict_rows(mask)
-
-
 def apply_substitution(ds: Dataset, sub: Substitution) -> Dataset:
+    """The transformed dataset.  An input substitution puts the column
+    g(x_I) before the retained columns; an out-input substitution replaces
+    the output by h(x_I, y) and drops the I columns.  Rows where the new
+    values are non-finite are dropped."""
+    if any(i >= ds.d for i in sub.I):
+        raise ValueError("substitution indices outside dataset columns")
+    keep = _retained(ds.d, sub.I)
     if isinstance(sub, InputSub):
-        return apply_input(ds, sub)
-    return apply_outinput(ds, sub)
+        col = evaluate(sub.g, ds.X[:, sub.I])
+        mask = _finite_rows(col)
+        X, y = np.column_stack([col, ds.X[:, keep]]), ds.y
+    else:
+        if len(sub.I) >= ds.d:
+            raise ValueError("out-input substitution must leave at least one input")
+        y = evaluate(sub.h, np.column_stack([ds.X[:, sub.I], ds.y]))
+        mask = _finite_rows(y)
+        X = ds.X[:, keep]
+    return Dataset(X[mask], y[mask], ds.origin_rows[mask])
+
+
+def column_maps(d: int, subs: Iterable[Substitution]
+                ) -> tuple[tuple[ExprDag, ...], ExprDag]:
+    """What the columns and the output of a d-column search root mean after
+    `subs`, applied in order, relative to that root: one expression per
+    column over the root's d inputs, and the output over those inputs plus
+    the root's output in slot d."""
+    columns = tuple(variable(i, d) for i in range(d))
+    output = variable(d, d + 1)
+    for sub in subs:
+        inner = [columns[i] for i in sub.I]
+        kept = tuple(columns[j] for j in _retained(len(columns), sub.I))
+        if isinstance(sub, InputSub):
+            columns = (compose(sub.g, inner, d),) + kept
+        else:
+            output = compose(sub.h, inner + [output], d + 1)
+            columns = kept
+    return columns, output
 
 
 def near_constant(y: np.ndarray) -> bool:

@@ -113,26 +113,29 @@ def eliminated_form(expr: sp.Expr, targets: Sequence[sp.Symbol]) -> sp.Expr | No
 
 def sample_valid_points(fn: Callable[[np.ndarray], np.ndarray], arity: int,
                         n_points: int, rng: np.random.Generator,
-                        max_grow: float = 150.0) -> np.ndarray:
+                        max_grow: float = 150.0) -> tuple[np.ndarray, np.ndarray]:
     """Draw uniform points on a growing cube [-c, c]^arity, keeping rows where
-    `fn` evaluates to a finite value, until `n_points` rows are collected.
+    `fn` evaluates to a finite value, until `n_points` rows are collected;
+    the points and `fn`'s values at them.
 
     `fn` must ignore floating-point errors itself, as the functions that
     `_dag_fn` and `lambdify_fn` return do."""
-    collected: list[np.ndarray] = []
+    points: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     total = 0
     c = 1.0
     while total < n_points and c <= max_grow:
         pts = rng.uniform(-c, c, size=(max(2 * n_points, 32), max(arity, 1)))
-        mask = np.isfinite(fn(pts))
-        keep = pts[mask]
-        if keep.size:
-            collected.append(keep[: n_points - total])
-            total += len(collected[-1])
+        vals = fn(pts)
+        mask = np.isfinite(vals)
+        if mask.any():
+            points.append(pts[mask][: n_points - total])
+            values.append(vals[mask][: n_points - total])
+            total += len(points[-1])
         c += 0.5
-    if not collected:
-        return np.empty((0, max(arity, 1)))
-    return np.vstack(collected)
+    if not points:
+        return np.empty((0, max(arity, 1))), np.empty(0)
+    return np.vstack(points), np.concatenate(values)
 
 
 def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
@@ -144,13 +147,12 @@ def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
     compared = 0
     c = 1.0
     while compared < _NUMERIC_DEP_TRIALS and c <= 60.0:
-        base = sample_valid_points(fn, arity, _NUMERIC_DEP_TRIALS, rng, max_grow=c)
+        base, v0 = sample_valid_points(fn, arity, _NUMERIC_DEP_TRIALS, rng, max_grow=c)
         if len(base):
             pert = base.copy()
             pert[:, targets] = rng.uniform(-c, c, size=(len(base), len(targets)))
-            v0 = fn(base)
             v1 = fn(pert)
-            ok = np.isfinite(v0) & np.isfinite(v1)
+            ok = np.isfinite(v1)
             if ok.any():
                 diff = np.abs(v0[ok] - v1[ok])
                 if np.any(diff > _NUMERIC_DEP_TOL * (1.0 + np.abs(v0[ok]))):
@@ -167,11 +169,7 @@ def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int,
     """Whether `fn` is constant, up to a relative spread of 1e-6, at points
     where it is finite; None when fewer than 10 such points were found.
     `fn` must ignore floating-point errors itself."""
-    pts = sample_valid_points(fn, arity, _CONST_POINTS, rng)
-    if len(pts) < 10:
-        return None
-    vals = fn(pts)
-    vals = vals[np.isfinite(vals)]
+    _, vals = sample_valid_points(fn, arity, _CONST_POINTS, rng)
     if len(vals) < 10:
         return None
     spread = float(np.max(vals) - np.min(vals))
@@ -331,10 +329,4 @@ def equivalent(f: ExprDag, g: ExprDag) -> bool:
     b2 = DagBuilder()
     ratio = b2.extract(b2.binary("/", b2.copy_from(f), b2.copy_from(g)), f.arity)
     const = _constant_verdict(ratio, fs / gs, rng)
-    if const is not None:
-        try:
-            nonzero = abs(complex(const)) > 1e-12
-        except (TypeError, ValueError):
-            nonzero = True
-        return nonzero
-    return False
+    return const is not None and not const.is_zero

@@ -5,18 +5,22 @@ code under test: quadratic-time counting instead of sorting, exhaustive tree
 enumeration instead of program enumeration, every program built in its own
 builder instead of pruned prefixes in a shared one, cofactor expansion
 instead of LAPACK, direct formula transcriptions instead of vectorized
-rewrites.
+rewrites, recursive descent instead of explicit parser stacks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
 from srsub.dag import BINARY_OPS, OPS, UNARY_OPS, Binary, Const, DagBuilder, Unary, Var, evaluate
+from srsub.errors import UnsupportedExpression
+from srsub.exprtext import _FUNCTIONS, _tokenize
 from srsub.grammar import GrammarBudget
+from srsub.substitution import column_maps
 
 # -- quadratic-time ranks ------------------------------------------------------
 
@@ -280,19 +284,21 @@ def enumerate_by_trees(arity: int, budget: GrammarBudget) -> set[str]:
 _VALIDATE_TOL = 1e-9
 
 
-def validate_dataset(ds, sample) -> None:
-    """Check that re-evaluating the maps of a `Dataset` on its original rows,
-    `ds.origin_rows` of the unsubstituted `sample`, reproduces its current
+def validate_dataset(ds, sample, subs) -> None:
+    """Check that the maps `column_maps` composes for the edges `subs` from
+    the unsubstituted `sample` to `ds`, re-evaluated on the dataset's
+    original rows (`ds.origin_rows` of `sample`), reproduce its current
     columns."""
+    columns, output = column_maps(sample.d, subs)
     origin_X = sample.X[ds.origin_rows]
     base = np.column_stack([origin_X, sample.y[ds.origin_rows]])
-    for i, vm in enumerate(ds.var_map):
-        got = evaluate(vm, origin_X)
+    for i, col in enumerate(columns):
+        got = evaluate(col, origin_X)
         if not np.allclose(got, ds.X[:, i], rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
-            raise AssertionError(f"var_map[{i}] does not reproduce column {i}")
-    got = evaluate(ds.y_map, base)
+            raise AssertionError(f"column map {i} does not reproduce column {i}")
+    got = evaluate(output, base)
     if not np.allclose(got, ds.y, rtol=_VALIDATE_TOL, atol=_VALIDATE_TOL):
-        raise AssertionError("y_map does not reproduce the output column")
+        raise AssertionError("the output map does not reproduce the output column")
 
 
 # -- program enumeration with one builder per program -----------------------------
@@ -445,3 +451,136 @@ def arms_fitted_separately(p, spec, result, holdout):
         columns[f"{tag}_jaccard"] = jaccard(p.f_true, sol.expr)
     columns["beam_depth"] = sol.source_node_depth
     return columns
+
+
+# -- recursive-descent infix parser ---------------------------------------------
+
+
+class _RecursiveParser:
+    """One method per grammar level, recursing once per parenthesis: the
+    reference for `exprtext.parse`, which keeps explicit stacks instead."""
+
+    def __init__(self, tokens, builder, var_names):
+        self.tokens = tokens
+        self.pos = 0
+        self.b = builder
+        self.var_names = var_names or {}
+        self.max_index = -1
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise UnsupportedExpression("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok):
+        got = self.take()
+        if got != tok:
+            raise UnsupportedExpression(f"expected {tok!r}, got {got!r}")
+
+    def parse(self):
+        node = self.expr()
+        if self.peek() is not None:
+            raise UnsupportedExpression(f"trailing input at {self.peek()!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            node = self.b.binary(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.signed()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            node = self.b.binary(op, node, self.signed())
+        return node
+
+    def signed(self):
+        # unary minus applies to a whole power: -x^2 is -(x^2)
+        if self.peek() == "-":
+            self.take()
+            inner = self.signed()
+            node = self.b.nodes[inner]
+            if isinstance(node, Const) and not node.is_placeholder:
+                return self.b.const(-node.value)
+            return self.b.unary("neg", inner)
+        if self.peek() == "+":
+            self.take()
+            return self.signed()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() in ("^", "**"):
+            self.take()
+            neg = False
+            tok = self.take()
+            if tok == "-":
+                neg = True
+                tok = self.take()
+            try:
+                exp = int(tok)
+            except ValueError:
+                raise UnsupportedExpression(f"only integer exponents supported, got {tok!r}")
+            node = self._int_power(base, exp)
+            return self.b.unary("inv", node) if neg else node
+        return base
+
+    def _int_power(self, base, exp):
+        if exp < 0:
+            return self.b.unary("inv", self._int_power(base, -exp))
+        if exp == 0:
+            return self.b.const(1.0)
+        if exp == 1:
+            return base
+        half = self._int_power(base, exp // 2)
+        sq = self.b.unary("square", half)
+        return sq if exp % 2 == 0 else self.b.binary("*", base, sq)
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        if tok in _FUNCTIONS:
+            self.expect("(")
+            node = self.expr()
+            self.expect(")")
+            return self.b.unary(tok, node)
+        if re.fullmatch(r"x\d+", tok):
+            index = int(tok[1:]) - 1
+            if index < 0:
+                raise UnsupportedExpression("variables are numbered from x1")
+            self.max_index = max(self.max_index, index)
+            return self.b.var(index)
+        if re.fullmatch(r"c\d+", tok):
+            return self.b.param(tok)
+        if tok in self.var_names:
+            index = self.var_names[tok]
+            self.max_index = max(self.max_index, index)
+            return self.b.var(index)
+        try:
+            return self.b.const(float(tok))
+        except ValueError:
+            raise UnsupportedExpression(f"unknown identifier {tok!r}")
+
+
+def parse_recursive(text, arity=None, var_names=None):
+    """`exprtext.parse` by recursive descent."""
+    builder = DagBuilder()
+    parser = _RecursiveParser(_tokenize(text), builder, var_names)
+    root = parser.parse()
+    inferred = parser.max_index + 1
+    if arity is None:
+        arity = inferred
+    elif arity < inferred:
+        raise UnsupportedExpression(f"arity {arity} below used variables ({inferred})")
+    return builder.extract(root, arity)

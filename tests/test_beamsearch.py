@@ -17,6 +17,7 @@ from srsub import (
 from srsub.beamsearch import SearchNode, _score_dataset, score_candidate, trace_records
 from srsub.bench import Problem
 from srsub.depmeasure import compute_ranks
+from srsub.substitution import apply_substitution, column_maps
 
 from oracles import beam_levels_by_sorting
 from testdata import WASHBURN, positive_washburn_dataset
@@ -131,45 +132,39 @@ def test_root_score_participates():
     assert res.root.score == _score_dataset(ds, "codec")
 
 
+def _node(parent, edge):
+    """The child of `parent` along `edge`, scored like its parent."""
+    return SearchNode(dataset=apply_substitution(parent.dataset, edge), score=parent.score,
+                      parent=parent, edge=edge, depth=parent.depth + 1)
+
+
 def test_reconstruct_identity_at_root():
     ds = _dataset_from("x1*x2+x3")
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
     sol = parse("x1*x2+x3")
-    out = reconstruct(root.dataset, sol)
+    out = reconstruct(root, sol)
     assert out == sol
 
 
 def test_reconstruct_outinput_chain():
     # y - x3 = x1*x2  ->  y = x1*x2 + x3
     ds = _dataset_from("x1*x2+x3")
-    from srsub.substitution import apply_outinput
-
-    sub = OutInputSub(h=parse("x2-x1", arity=2), I=(2,))
-    child_ds = apply_outinput(ds, sub)
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
-    child = SearchNode(dataset=child_ds, score=_score_dataset(child_ds, "codec"),
-                       parent=root, edge=sub, depth=1)
+    child = _node(root, OutInputSub(h=parse("x2-x1", arity=2), I=(2,)))
     sol = parse("x1*x2")
-    out = reconstruct(child.dataset, sol)
+    out = reconstruct(child, sol)
     assert out == parse("x1*x2+x3")
 
 
 def test_reconstruct_washburn_leaf():
     ds = positive_washburn_dataset(n=500, seed=13)
-    from srsub.substitution import apply_input, apply_outinput
-
-    n1 = apply_input(ds, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
-    n2 = apply_outinput(n1, OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)))
-    n3 = apply_outinput(n2, OutInputSub(h=parse("x2*sqrt(x1)", arity=2), I=(1,)))
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
-    a = SearchNode(dataset=n1, score=root.score, parent=root,
-                   edge=InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)), depth=1)
-    b = SearchNode(dataset=n2, score=root.score, parent=a,
-                   edge=OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)), depth=2)
-    c = SearchNode(dataset=n3, score=root.score, parent=b,
-                   edge=OutInputSub(h=parse("x2*sqrt(x1)", arity=2), I=(1,)), depth=3)
+    a = _node(root, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
+    b = _node(a, OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)))
+    c = _node(b, OutInputSub(h=parse("x2*sqrt(x1)", arity=2), I=(1,)))
+    assert c.path() == [root, a, b, c]
     sol = parse("sqrt(cos(x1)/2)")  # solution of the final 1-variable problem
-    out = reconstruct(c.dataset, sol)
+    out = reconstruct(c, sol)
     from srsub import equivalent
 
     assert equivalent(out, parse(WASHBURN))
@@ -177,42 +172,60 @@ def test_reconstruct_washburn_leaf():
 
 def test_reconstruction_soundness_numeric_inversion():
     # route A: evaluate the reconstructed expression on held-out rows;
-    # route B: solve y_map(x, y) = node_prediction for y per row by bisection
+    # route B: solve the output map (x, y) = node_prediction for y per row
+    # by bisection
     from scipy.optimize import brentq
 
     from srsub import evaluate
     from srsub.regress import nrmse
-    from srsub.substitution import apply_input, apply_outinput
 
     ds = positive_washburn_dataset(n=300, seed=21)
-    n1 = apply_input(ds, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
-    n2 = apply_outinput(n1, OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)))
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
-    a = SearchNode(dataset=n1, score=root.score, parent=root,
-                   edge=InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)), depth=1)
-    b = SearchNode(dataset=n2, score=root.score, parent=a,
-                   edge=OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)), depth=2)
+    a = _node(root, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
+    b = _node(a, OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,)))
+    n2 = b.dataset
     sol = parse("sqrt(cos(x1)/(2*x2))")  # exact solution of node-2 problem
-    recon = reconstruct(b.dataset, sol)
+    recon = reconstruct(b, sol)
 
     hold = ds.X[n2.origin_rows[:50]]
     hold_y = ds.y[n2.origin_rows[:50]]
     route_a = evaluate(recon, hold)
 
-    y_map = n2.y_map
+    _, output = column_maps(ds.d, [a.edge, b.edge])
     node_pred = evaluate(sol, n2.X[:50])
     route_b = []
     for i in range(50):
         row = hold[i]
 
         def g(t, row=row, i=i):
-            return evaluate(y_map, np.concatenate([row, [t]])[None, :])[0] - node_pred[i]
+            return evaluate(output, np.concatenate([row, [t]])[None, :])[0] - node_pred[i]
 
         route_b.append(brentq(g, 1e-9, 50.0))
     route_b = np.array(route_b)
     both = np.isfinite(route_a) & np.isfinite(route_b)
     assert both.all()
     assert nrmse(hold_y, route_a) == pytest.approx(nrmse(hold_y, route_b), abs=1e-9)
+
+
+def test_search_composes_no_column_maps(monkeypatch):
+    # a candidate's dataset is its arrays; column maps are composed only
+    # where a path node is reconstructed or written out
+    from srsub import beamsearch, substitution
+
+    calls = []
+    real = substitution.compose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(substitution, "compose", counting)
+    monkeypatch.setattr(beamsearch, "compose", counting)
+    result = search(_dataset_from("x1*x2+x3"), BeamConfig())
+    assert result.best.depth >= 1
+    assert len(calls) == 0
+    reconstruct(result.best, parse("x1"))
+    assert len(calls) > 0
 
 
 def test_trace_records_schema():

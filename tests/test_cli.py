@@ -43,6 +43,31 @@ def test_reduce_writes_nodes_and_trace(tmp_path, capsys):
     assert re.search(r"\by\b", y_new.removeprefix("y_new = "))
 
 
+def test_reduce_maps_reproduce_each_node_from_the_sample(tmp_path, capsys):
+    from srsub import evaluate, parse
+
+    csv = tmp_path / "s.csv"
+    assert main(["sample", "x1*x2+x3", "--n", "200", "--seed", "1", "--out", str(csv)]) == 0
+    out = tmp_path / "red"
+    assert main(["reduce", str(csv), "--out", str(out)]) == 0
+    nodes = _last_record(capsys)["nodes"]
+    assert nodes >= 2
+    sample = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    X, d = sample[:, :-1], sample.shape[1] - 1
+    for i in range(nodes):
+        node = np.loadtxt(out / f"node_{i}.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert len(node) == len(sample)  # no rows dropped on this path
+        maps = dict(line.split(" = ", 1) for line in
+                    (out / f"node_{i}.maps.txt").read_text().splitlines()
+                    if not line.startswith("edge: "))
+        assert list(maps) == [f"x{j + 1}" for j in range(node.shape[1] - 1)] + ["y_new"]
+        for j in range(node.shape[1] - 1):
+            got = evaluate(parse(maps[f"x{j + 1}"], arity=d), X)
+            assert np.allclose(got, node[:, j], rtol=1e-12, atol=1e-12)
+        got = evaluate(parse(maps["y_new"], arity=d + 1, var_names={"y": d}), sample)
+        assert np.allclose(got, node[:, -1], rtol=1e-12, atol=1e-12)
+
+
 def test_reduce_single_variable_root_only(tmp_path, capsys):
     csv = _write_csv(tmp_path / "one.csv", "exp(x1)")
     out = tmp_path / "red1"

@@ -5,11 +5,12 @@ import pytest
 
 from srsub import GrammarBudget, RegressorSpec, evaluate, parse, solve_for, to_text
 from srsub.dag import DagBuilder, bind_placeholders, invertible_path
-from srsub.errors import NotSolvable
+from srsub.errors import NotSolvable, UnsupportedExpression
+from srsub.exprtext import _tokenize
 from srsub.regress import _skeletons
 from srsub.simplify import simplify
 
-from oracles import evaluate_nodewise
+from oracles import evaluate_nodewise, parse_recursive
 
 # the introductory capillary-flow formula in its original variable order
 # (x1=t, x2=viscosity, x3=surface tension, x4=radius, x5=contact angle)
@@ -126,6 +127,69 @@ def test_parse_print_roundtrip_random_enumerated():
 def test_print_deeper_than_the_recursion_limit():
     # the sum is a chain of 1,499 + nodes, each over the previous one
     assert to_text(parse("+".join(["x1"] * 1500))).count("x1") == 1500
+
+
+def test_parse_reads_back_a_dag_deeper_than_the_recursion_limit():
+    # the printed sum nests 1,499 parenthesized right operands
+    dag = parse("+".join(["x1"] * 1500))
+    assert parse(to_text(dag)) == dag
+
+
+_ATOMS = ("x1", "x2", "x3", "y", "c0", "2", "0.5", "3e-2")
+_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
+
+
+def _random_text(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return str(rng.choice(_ATOMS))
+    inner = _random_text(rng, depth - 1)
+    if r < 0.42:
+        return f"{rng.choice(['-', '+'])}{inner}"
+    if r < 0.52:
+        return f"{rng.choice(_FUNCS)}({inner})"
+    if r < 0.62:
+        return f"({inner}){rng.choice(['^', '**'])}{rng.choice(['0', '1', '2', '3', '-2', '1.5'])}"
+    if r < 0.7:
+        return f"({inner})"
+    return f"{inner} {rng.choice(list('+-*/'))} {_random_text(rng, depth - 1)}"
+
+
+def _mutated(rng, text):
+    """`text` with one to three tokens deleted, duplicated or replaced."""
+    tokens = _tokenize(text)
+    for _ in range(rng.integers(1, 4)):
+        i = int(rng.integers(len(tokens)))
+        kind = rng.integers(3)
+        if kind == 0 and len(tokens) > 1:
+            del tokens[i]
+        elif kind == 1:
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = str(rng.choice(list(_ATOMS + _FUNCS) + list("+-*/^()") + ["x0", "foo"]))
+    return " ".join(tokens)
+
+
+def _outcome(parser, text):
+    try:
+        dag = parser(text, var_names={"y": 3})
+    except UnsupportedExpression as exc:
+        return str(exc)
+    return dag.arity, dag.nodes
+
+
+def test_parse_builds_the_recursive_parsers_dag_on_generated_texts():
+    rng = np.random.default_rng(16)
+    parsed = 0
+    for _ in range(3000):
+        text = _random_text(rng, 5)
+        if rng.random() < 0.5:
+            text = _mutated(rng, text)
+        expected = _outcome(parse_recursive, text)
+        assert _outcome(parse, text) == expected, text
+        parsed += not isinstance(expected, str)
+    # both well-formed and malformed texts were compared
+    assert 1000 < parsed < 2900
 
 
 def test_parse_rejects_garbage():

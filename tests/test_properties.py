@@ -361,7 +361,7 @@ def _validate_every_node(ds):
     seen = set()
     for level in result.all_levels:
         for node in level:
-            validate_dataset(node.dataset, ds)
+            validate_dataset(node.dataset, ds, [n.edge for n in node.path()[1:]])
             seen.add((type(node.edge), node.dataset.n < node.parent.dataset.n))
     return seen
 

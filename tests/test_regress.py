@@ -486,7 +486,7 @@ def test_pipeline_rejects_a_substituted_holdout():
     mask = holdout_mask(ds.n, 0.2, seed=3)
     result = search(ds.restrict_rows(~mask), BeamConfig())
     substituted = result.best_path[1].dataset
-    assert substituted.d < substituted.d_original == ds.d
+    assert substituted.d < result.root.dataset.d == ds.d
     with pytest.raises(ValueError, match="unsubstituted"):
         solve_pipeline(result, RegressorSpec(kind="poly"), substituted)
 

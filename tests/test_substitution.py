@@ -24,8 +24,8 @@ from srsub.errors import TooFewRows, Unverifiable
 from srsub.substitution import (
     _quartiles_and_range,
     aifeynman_candidates,
-    apply_input,
-    apply_outinput,
+    apply_substitution,
+    column_maps,
     degenerate_column,
     gen_input_candidates,
     gen_outinput_candidates,
@@ -135,11 +135,11 @@ def _washburn_dataset(n=400, seed=5):
 def test_apply_input_product_triple():
     ds = _washburn_dataset()
     sub = InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2))
-    out = apply_input(ds, sub)
+    out = apply_substitution(ds, sub)
     assert out.d == 3
-    assert out.var_map[0] == parse("x1*(x2*x3)", arity=5)
+    assert column_maps(ds.d, [sub])[0][0] == parse("x1*(x2*x3)", arity=5)
     assert np.allclose(out.X[:, 0], ds.X[:, 0] * ds.X[:, 1] * ds.X[:, 2])
-    validate_dataset(out, ds)
+    validate_dataset(out, ds, [sub])
 
 
 def test_apply_input_drops_domain_violations():
@@ -147,17 +147,17 @@ def test_apply_input_drops_domain_violations():
     y = np.arange(5.0) + 1
     ds = Dataset.from_arrays(X, y)
     sub = InputSub(g=parse("x1/x2"), I=(0, 1))
-    out = apply_input(ds, sub)
+    out = apply_substitution(ds, sub)
     assert out.n == 4  # the x2 = 0 row dropped
     assert 1 - out.n / ds.n == pytest.approx(0.2)
-    validate_dataset(out, ds)
+    validate_dataset(out, ds, [sub])
 
 
 def test_apply_input_too_many_drops():
     X = np.column_stack([np.full(10, 2.0), np.concatenate([np.zeros(5), np.ones(5)])])
     ds = Dataset.from_arrays(X, np.arange(10.0) + 1)
     with pytest.raises(TooFewRows):
-        apply_input(ds, InputSub(g=parse("x1/x2"), I=(0, 1)))
+        apply_substitution(ds, InputSub(g=parse("x1/x2"), I=(0, 1)))
 
 
 def test_apply_outinput_composes_output_map():
@@ -165,17 +165,17 @@ def test_apply_outinput_composes_output_map():
 
     ds = positive_washburn_dataset()
     sub = InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2))
-    step2 = apply_input(ds, sub)
+    step2 = apply_substitution(ds, sub)
     h = OutInputSub(h=parse("x2/sqrt(x1)", arity=2), I=(0,))
-    step3 = apply_outinput(step2, h)
+    step3 = apply_substitution(step2, h)
     assert step3.d == 2
     assert np.allclose(step3.y, step2.y / np.sqrt(step2.X[:, 0]))
-    validate_dataset(step3, ds)
+    validate_dataset(step3, ds, [sub, h])
     # compose once more: multiply by sqrt of the (now second) column = x5
     h2 = OutInputSub(h=parse("x2*sqrt(x1)", arity=2), I=(1,))
-    step4 = apply_outinput(step3, h2)
+    step4 = apply_substitution(step3, h2)
     assert step4.d == 1
-    validate_dataset(step4, ds)
+    validate_dataset(step4, ds, [sub, h, h2])
     expect = ds.y * np.sqrt(ds.X[:, 4] / (ds.X[:, 0] * ds.X[:, 1] * ds.X[:, 2]))
     assert np.allclose(step4.y, expect, rtol=1e-9)
 
@@ -184,7 +184,7 @@ def test_apply_outinput_constant_output_is_scorable_reject():
     X = np.column_stack([np.linspace(1, 2, 50), np.linspace(3, 4, 50)])
     y = X[:, 0].copy()
     ds = Dataset.from_arrays(X, y)
-    out = apply_outinput(ds, OutInputSub(h=parse("x2-x1", arity=2), I=(0,)))
+    out = apply_substitution(ds, OutInputSub(h=parse("x2-x1", arity=2), I=(0,)))
     from srsub.substitution import near_constant
 
     assert near_constant(out.y)
@@ -193,7 +193,7 @@ def test_apply_outinput_constant_output_is_scorable_reject():
 def test_valid_input_sub_keeps_codec_score():
     ds = _washburn_dataset(n=600, seed=9)
     before = codec(ds.X, ds.y)
-    out = apply_input(ds, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
+    out = apply_substitution(ds, InputSub(g=parse("x1*(x2*x3)"), I=(0, 1, 2)))
     after = codec(out.X, out.y)
     assert after >= before - 0.05
 

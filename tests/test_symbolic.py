@@ -77,6 +77,16 @@ def test_equivalent_rejects_zero_ratio():
     assert not equivalent(parse("x1"), zero)
 
 
+def test_equivalent_accepts_a_tiny_multiplicative_constant():
+    # a non-zero ratio counts however small it is, in either order
+    assert equivalent(parse("2.268e-18*x1"), parse("x1"))
+    assert equivalent(parse("x1"), parse("2.268e-18*x1"))
+    assert equivalent(parse("1e-13*x1"), parse("x1"))
+    # a ratio that is exactly zero still does not
+    assert not equivalent(parse("x1-x1"), parse("x1"))
+    assert not equivalent(parse("x1"), parse("0", arity=1))
+
+
 def test_equivalent_is_false_for_a_model_sympy_cannot_build():
     # sympy folds exp(exp(1e20)) to an integer too large to hold
     huge = parse("x1+exp(exp(1e20))")
