@@ -24,7 +24,7 @@ import numpy as np
 
 from .beamsearch import BeamConfig, SearchResult, search, trace_records
 from .dag import ExprDag, evaluate
-from .errors import ExternalFailure, Unsampleable, Unverifiable
+from .errors import ExternalFailure, SrsubError, Unsampleable, Unverifiable
 from .exprtext import parse
 from .regress import RegressorSpec, SolveResult, holdout_mask, solve_pipeline
 from .simplify import subexpressions
@@ -101,22 +101,28 @@ def load_corpus(source: str | Path) -> list[Problem]:
     problems = []
     for lineno, line in enumerate(io.StringIO(text), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"line {lineno}: expected id<TAB>d<TAB>expression[<TAB>lo:hi]")
-        pid, d_text, expr_text = parts[:3]
-        d = int(d_text)
-        box = None
-        if len(parts) == 4:
-            ranges = parts[3].split(",")
-            if len(ranges) == 1:
-                ranges = ranges * d
-            box = tuple((float(lo), float(hi)) for lo, hi in
-                        (r.split(":") for r in ranges))
-        problems.append(Problem(id=pid, d=d, f_true=parse(expr_text, arity=d), box=box))
+        if line and not line.startswith("#"):
+            try:
+                problems.append(_problem(line))
+            except (ValueError, SrsubError) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from exc
     return problems
+
+
+def _problem(line: str) -> Problem:
+    """The problem on one corpus line."""
+    parts = line.split("\t")
+    if len(parts) not in (3, 4):
+        raise ValueError("expected id<TAB>d<TAB>expression[<TAB>lo:hi]")
+    pid, d_text, expr_text = parts[:3]
+    d = int(d_text)
+    box = None
+    if len(parts) == 4:
+        ranges = parts[3].split(",")
+        if len(ranges) == 1:
+            ranges = ranges * d
+        box = tuple((float(lo), float(hi)) for lo, hi in (r.split(":") for r in ranges))
+    return Problem(id=pid, d=d, f_true=parse(expr_text, arity=d), box=box)
 
 
 def sample_problem(p: Problem, n: int, seed: int) -> Dataset:

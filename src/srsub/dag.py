@@ -143,7 +143,9 @@ def fold(nodes: Sequence[Node], var: Callable[[int], T], const: Callable[[Const]
     return vals
 
 
-def _const_repr(value: float) -> str:
+def const_repr(value: float) -> str:
+    """A constant's text in node keys and printed formulas: integral values
+    below 1e16 without a fraction, others by `repr`."""
     # the magnitude test comes first: int() raises on inf and nan
     if abs(value) < 1e16 and value == int(value):
         return str(int(value))
@@ -191,7 +193,7 @@ class DagBuilder:
         value = float(value)
         if value == 0.0:  # collapse -0.0
             value = 0.0
-        return self._intern(Const(value, None), f"C{_const_repr(value)}", 0)
+        return self._intern(Const(value, None), f"C{const_repr(value)}", 0)
 
     def param(self, name: str) -> int:
         return self._intern(Const(None, name), f"P{name}", 1)

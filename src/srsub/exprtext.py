@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .dag import OPS, Const, DagBuilder, ExprDag, _const_repr, fold
+from .dag import OPS, Const, DagBuilder, ExprDag, const_repr, fold
 from .errors import UnsupportedExpression
 
 # the ops printed in call form, ``name(arg)``
@@ -195,8 +195,8 @@ def to_text(dag: ExprDag, var_names: dict[int, str] | None = None) -> str:
         if node.is_placeholder:
             return node.name or "c0", 9
         if node.value < 0:
-            return f"-{_const_repr(-node.value)}", 0
-        return _const_repr(node.value), 9
+            return f"-{const_repr(-node.value)}", 0
+        return const_repr(node.value), 9
 
     def unary(name: str, child: tuple[str, int]) -> tuple[str, int]:
         op = OPS[name]

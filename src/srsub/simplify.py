@@ -69,25 +69,21 @@ def _collect_add(b: DagBuilder, op: str, left: int, right: int):
     pos: list[int] = []
     neg: list[int] = []
     const = 0.0
-
-    def walk(nid: int, sign: int) -> None:
-        nonlocal const
+    # left operands are popped first, so items and constants accumulate in
+    # left-to-right order
+    stack = [(right, 1 if op == "+" else -1), (left, 1)]
+    while stack:
+        nid, sign = stack.pop()
         node = b.nodes[nid]
-        if isinstance(node, Binary) and node.op == "+":
-            walk(node.left, sign)
-            walk(node.right, sign)
-        elif isinstance(node, Binary) and node.op == "-":
-            walk(node.left, sign)
-            walk(node.right, -sign)
+        if isinstance(node, Binary) and node.op in ("+", "-"):
+            stack.append((node.right, sign if node.op == "+" else -sign))
+            stack.append((node.left, sign))
         elif isinstance(node, Unary) and node.op == "neg":
-            walk(node.child, -sign)
+            stack.append((node.child, -sign))
         elif isinstance(node, Const) and not node.is_placeholder:
             const += sign * node.value
         else:
             (pos if sign > 0 else neg).append(nid)
-
-    walk(left, 1)
-    walk(right, 1 if op == "+" else -1)
     _cancel_pairs(b, pos, neg)
     return pos, neg, const
 
@@ -115,8 +111,6 @@ def _fold_chain(b: DagBuilder, op: str, items: list[int]) -> int:
 
 def _rebuild_add(b: DagBuilder, collected) -> int:
     pos, neg, const = collected
-    pos = list(pos)
-    neg = list(neg)
     if const > 0.0:
         pos.append(b.const(const))
     elif const < 0.0:
@@ -136,47 +130,40 @@ def _rebuild_add(b: DagBuilder, collected) -> int:
 def _collect_mul(b: DagBuilder, op: str, left: int, right: int):
     num: list[int] = []
     den: list[int] = []
-    state = {"cn": 1.0, "cd": 1.0, "sign": 1}
-
-    def walk(nid: int, side: int) -> None:
+    cn = cd = 1.0
+    sign = 1
+    # left operands are popped first, as in `_collect_add`
+    stack = [(right, 1 if op == "*" else -1), (left, 1)]
+    while stack:
+        nid, side = stack.pop()
         node = b.nodes[nid]
-        if isinstance(node, Binary) and node.op == "*":
-            walk(node.left, side)
-            walk(node.right, side)
-        elif isinstance(node, Binary) and node.op == "/":
-            walk(node.left, side)
-            walk(node.right, -side)
+        if isinstance(node, Binary) and node.op in ("*", "/"):
+            stack.append((node.right, side if node.op == "*" else -side))
+            stack.append((node.left, side))
         elif isinstance(node, Unary) and node.op == "inv":
-            walk(node.child, -side)
+            stack.append((node.child, -side))
         elif isinstance(node, Unary) and node.op == "neg":
-            state["sign"] = -state["sign"]
-            walk(node.child, side)
+            sign = -sign
+            stack.append((node.child, side))
         elif isinstance(node, Unary) and node.op == "square":
-            walk(node.child, side)
-            walk(node.child, side)
+            stack += [(node.child, side), (node.child, side)]
         elif isinstance(node, Const) and not node.is_placeholder:
             value = node.value
             if value < 0:
-                state["sign"] = -state["sign"]
+                sign = -sign
                 value = -value
             if side > 0:
-                state["cn"] *= value
+                cn *= value
             else:
-                state["cd"] *= value
+                cd *= value
         else:
             (num if side > 0 else den).append(nid)
-
-    walk(left, 1)
-    walk(right, 1 if op == "*" else -1)
     _cancel_pairs(b, num, den)
-    return num, den, state
+    return num, den, (cn, cd, sign)
 
 
 def _rebuild_mul(b: DagBuilder, collected) -> int:
-    num, den, state = collected
-    num = list(num)
-    den = list(den)
-    cn, cd, sign = state["cn"], state["cd"], state["sign"]
+    num, den, (cn, cd, sign) = collected
 
     if cd == 0.0:
         den.append(b.const(0.0))

@@ -113,16 +113,12 @@ class Dataset:
 _dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
 
 
-def _depends_on_all(canon: ExprDag, rng: np.random.Generator) -> bool:
-    """`symbolic.depends_on(canon, every input)` for a dag that is already
-    simplified, without simplifying it again."""
-    needed = tuple(range(canon.arity))
-    if canon.var_indices() != set(needed):
-        return False
+def _depends_on_all(canon: ExprDag) -> bool:
+    """Whether `canon` reads and depends on every input; an inconclusive
+    verdict counts as no."""
+    needed = set(range(canon.arity))
     try:
-        return symbolic._agreed(symbolic._symbolic_dependence(canon, needed),
-                                symbolic.numeric_depends(symbolic._dag_fn(canon), canon.arity,
-                                                         needed, rng))
+        return canon.var_indices() == needed and symbolic.depends_on(canon, needed)
     except Inconclusive:
         return False
 
@@ -133,7 +129,6 @@ def input_candidate_dags(arity: int, budget: GrammarBudget) -> tuple[ExprDag, ..
     key = ("input", arity, budget)
     if key not in _dag_cache:
         budget = replace(budget, allow_constants=False)
-        rng = np.random.default_rng(symbolic.DEFAULT_SEED)
         out: list[ExprDag] = []
         seen: set[str] = set()
         for dag in enumerate_dags(arity, budget):
@@ -141,7 +136,7 @@ def input_candidate_dags(arity: int, budget: GrammarBudget) -> tuple[ExprDag, ..
             if canon.key in seen:
                 continue
             seen.add(canon.key)
-            if _depends_on_all(canon, rng):
+            if _depends_on_all(canon):
                 out.append(canon)
         _dag_cache[key] = tuple(out)
     return _dag_cache[key]
@@ -359,20 +354,11 @@ def _reduced(expr: sp.Expr, symbols: list[sp.Symbol], targets: Sequence[int],
     """(True, the target-free rewrite of `expr`, `reduced_symbols`) when
     `expr` does not depend on the target columns; (False, None, None) when
     it does or when the CAS and the numeric probe disagree."""
-    cleaned = symbolic.eliminated_form(expr, [symbols[t] for t in targets])
     try:
-        fn = symbolic.lambdify_fn(expr, symbols)
-    except ValueError:
-        num_dep = None
-    else:
-        num_dep = symbolic.numeric_depends(fn, len(symbols), targets,
-                                           np.random.default_rng(symbolic.DEFAULT_SEED))
-    try:
-        if not symbolic._agreed(cleaned is None, num_dep):
-            return True, cleaned, reduced_symbols
+        cleaned = symbolic.independent_form(expr, symbols, targets)
     except Inconclusive:
-        pass
-    return False, None, None
+        cleaned = None
+    return (False, None, None) if cleaned is None else (True, cleaned, reduced_symbols)
 
 
 def sympy_truth(f_true: ExprDag) -> tuple[sp.Expr, list[sp.Symbol]]:

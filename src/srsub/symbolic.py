@@ -5,14 +5,15 @@ Structural canonicalization lives in `simplify`; the questions answered here
 constant) escalate through a computer-algebra backend when the cheap
 canonical form is not conclusive.
 
-A symbolic dependence verdict is reached in one of two ways.  An exact
-witness, two values of the expression computed from exact rational points of
-the positive orthant, proves dependence outright.  Without one, a chain of
-rewrites looks for a form free of the variables.  Every form in the chain
-equals the expression on the positive orthant, so the chain finds none
-whenever a witness exists, and the two ways agree.  Every symbolic verdict is
-then joined with a randomized numeric check on the sampling domain; when the
-two sides disagree the result is reported as Inconclusive rather than guessed.
+Every dependence verdict is reached in `independent_form`.  Its symbolic
+half works in one of two ways.  An exact witness, two values of the
+expression computed from exact rational points of the positive orthant,
+proves dependence outright.  Without one, a chain of rewrites looks for a
+form free of the variables.  Every form in the chain equals the expression on
+the positive orthant, so the chain finds none whenever a witness exists, and
+the two ways agree.  The symbolic verdict is then joined with a randomized
+numeric check on the sampling domain; when the two sides disagree the result
+is reported as Inconclusive rather than guessed.
 """
 
 from __future__ import annotations
@@ -139,10 +140,11 @@ def sample_valid_points(fn: Callable[[np.ndarray], np.ndarray], arity: int,
 
 
 def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
-                    targets: Sequence[int], rng: np.random.Generator) -> bool | None:
+                    targets: Sequence[int]) -> bool | None:
     """Perturb the target coordinates at valid base points; None when too few
     valid comparisons could be made.  `fn` must ignore floating-point errors
     itself."""
+    rng = np.random.default_rng(DEFAULT_SEED)
     targets = list(targets)
     compared = 0
     c = 1.0
@@ -164,12 +166,12 @@ def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
     return False
 
 
-def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int,
-                     rng: np.random.Generator) -> bool | None:
+def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int) -> bool | None:
     """Whether `fn` is constant, up to a relative spread of 1e-6, at points
     where it is finite; None when fewer than 10 such points were found.
     `fn` must ignore floating-point errors itself."""
-    _, vals = sample_valid_points(fn, arity, _CONST_POINTS, rng)
+    _, vals = sample_valid_points(fn, arity, _CONST_POINTS,
+                                  np.random.default_rng(DEFAULT_SEED))
     if len(vals) < 10:
         return None
     spread = float(np.max(vals) - np.min(vals))
@@ -203,19 +205,6 @@ def lambdify_fn(expr: sp.Expr, symbols: Sequence[sp.Symbol]) -> Callable[[np.nda
 # -- public decision procedures ------------------------------------------------
 
 
-def depends_on(dag: ExprDag, variables: Iterable[int]) -> bool:
-    """Whether the expression depends on any of the given variable indices.
-
-    The symbolic check (does the variable survive canonical simplification
-    and CAS rewrites) and a randomized perturbation check must agree;
-    otherwise Inconclusive is raised.
-    """
-    targets = tuple(sorted(set(variables)))
-    sym_dep = _symbolic_dependence(simplify(dag), targets)
-    return _agreed(sym_dep, numeric_depends(_dag_fn(dag), dag.arity, targets,
-                                            np.random.default_rng(DEFAULT_SEED)))
-
-
 def _agreed(sym_dep: bool, num_dep: bool | None) -> bool:
     """The dependence verdict when the CAS verdict `sym_dep` and the numeric
     probe's `num_dep` agree.  The probe may have no evidence (None); a CAS
@@ -232,17 +221,20 @@ def _agreed(sym_dep: bool, num_dep: bool | None) -> bool:
     return sym_dep
 
 
-def _witness(expr: sp.Expr, variables: set[int], targets: tuple[int, ...]) -> bool:
+def _witness(expr: sp.Expr, symbols: Sequence[sp.Symbol], targets: Sequence[int]) -> bool:
     """Whether `expr` takes two exactly computed, clearly different real
     values at two fixed points of the positive orthant that differ only in
-    the target coordinates.  False means no witness, not independence."""
-    if expr.has(sp.Float) or not expr.free_symbols <= {_sym(i) for i in variables}:
+    the target slots; slot i of `symbols` takes witness coordinate i.
+    False means no witness, not independence."""
+    slots = {s: i for i, s in enumerate(symbols)}
+    if expr.has(sp.Float) or not expr.free_symbols.issubset(slots):
         return False
-    if max(variables) >= len(_WITNESS_COORDS):
+    used = [slots[s] for s in expr.free_symbols]
+    if not set(used) & set(targets) or max(used) >= len(_WITNESS_COORDS):
         return False
     values = []
     for moved in (False, True):
-        point = {_sym(i): _WITNESS_COORDS[i][moved and i in targets] for i in variables}
+        point = {symbols[i]: _WITNESS_COORDS[i][moved and i in targets] for i in used}
         try:
             exact = expr.xreplace(point)
             # evalf works to about as many extra bits as the magnitude of an
@@ -261,31 +253,54 @@ def _witness(expr: sp.Expr, variables: set[int], targets: tuple[int, ...]) -> bo
     return bool(abs(v1 - v0) > _WITNESS_GAP * (1 + abs(v0)))
 
 
-def _symbolic_dependence(s: ExprDag, targets: tuple[int, ...]) -> bool:
-    """The symbolic half of `depends_on` for a simplified dag: True unless
-    some rewrite of the expression is free of every target.
+def independent_form(expr: sp.Expr, symbols: Sequence[sp.Symbol], targets: Sequence[int],
+                     fn: Callable[[np.ndarray], np.ndarray] | None = None) -> sp.Expr | None:
+    """A rewrite of `expr` free of the symbols in the target slots of
+    `symbols`, or None when `expr` depends on them.
 
-    The verdict comes from an exact witness when `_witness` finds one, and
-    from the rewrite chain of `eliminated_form` otherwise.  The witness
-    points lie on the positive orthant, where every form of the chain equals
-    the expression, so the chain would answer "dependent" too; the witness
-    only skips its work.
+    The symbolic half asks the exact witness first, whose points lie on the
+    positive orthant where every form of the rewrite chain equals `expr`, so
+    a witness only skips the chain's work; without one, `eliminated_form`
+    looks for the rewrite.  The numeric half perturbs the target slots of
+    `fn`, by default `expr` evaluated over `symbols`; without `fn` it is
+    left out when `expr` has symbols outside `symbols`.  `_agreed` joins the
+    two halves and raises Inconclusive when they disagree.
 
     Verdicts are not memoized: candidate enumeration, the one caller that
     asks many questions, dedupes its dags by canonical key and caches its
     result per arity and budget, so it never asks the same question twice.
     """
-    variables = s.var_indices()
-    if not (variables & set(targets)):
-        return False
-    expr = to_sympy(s)
-    if _witness(expr, variables, targets):
-        return True
-    return eliminated_form(expr, [_sym(i) for i in targets]) is None
+    form = None
+    if not _witness(expr, symbols, targets):
+        form = eliminated_form(expr, [symbols[t] for t in targets])
+    if fn is None:
+        try:
+            fn = lambdify_fn(expr, symbols)
+        except ValueError:
+            pass
+    num_dep = None if fn is None else numeric_depends(fn, len(symbols), targets)
+    return None if _agreed(form is None, num_dep) else form
 
 
-def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,
-                      rng: np.random.Generator) -> sp.Expr | None:
+def depends_on(dag: ExprDag, variables: Iterable[int]) -> bool:
+    """Whether the expression depends on any of the given variable indices.
+
+    The symbolic check (does the variable survive canonical simplification
+    and CAS rewrites) and a randomized perturbation check must agree;
+    otherwise Inconclusive is raised.
+    """
+    targets = tuple(sorted(set(variables)))
+    s = simplify(dag)
+    fn = _dag_fn(dag)
+    if not s.var_indices() & set(targets):
+        # the canonical form is the rewrite free of the targets; only the
+        # probe can contradict it
+        return _agreed(False, numeric_depends(fn, dag.arity, targets))
+    symbols = [_sym(i) for i in range(dag.arity)]
+    return independent_form(to_sympy(s), symbols, targets, fn=fn) is None
+
+
+def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr) -> sp.Expr | None:
     """Symbolic constancy with mandatory numeric backing; None if not
     constant (or not backed)."""
     s = simplify(diff_dag)
@@ -295,7 +310,7 @@ def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr,
         const_form = eliminated_form(expr, list(expr.free_symbols))
     if const_form is None:
         return None
-    backed = numeric_constant(_dag_fn(diff_dag), diff_dag.arity, rng)
+    backed = numeric_constant(_dag_fn(diff_dag), diff_dag.arity)
     if backed is None or backed:
         return const_form
     return None
@@ -309,7 +324,6 @@ def equivalent(f: ExprDag, g: ExprDag) -> bool:
     """
     if f.arity != g.arity:
         raise ValueError("expressions must have the same arity")
-    rng = np.random.default_rng(DEFAULT_SEED)
     b = DagBuilder()
     fr, gr = b.copy_from(f), b.copy_from(g)
     diff = b.extract(b.binary("-", fr, gr), f.arity)
@@ -318,7 +332,7 @@ def equivalent(f: ExprDag, g: ExprDag) -> bool:
     except OverflowError:
         return False
 
-    if _constant_verdict(diff, fs - gs, rng) is not None:
+    if _constant_verdict(diff, fs - gs) is not None:
         return True
 
     g_simplified = simplify(g)
@@ -328,5 +342,5 @@ def equivalent(f: ExprDag, g: ExprDag) -> bool:
             return False
     b2 = DagBuilder()
     ratio = b2.extract(b2.binary("/", b2.copy_from(f), b2.copy_from(g)), f.arity)
-    const = _constant_verdict(ratio, fs / gs, rng)
+    const = _constant_verdict(ratio, fs / gs)
     return const is not None and not const.is_zero

@@ -26,7 +26,7 @@ from srsub import (
 )
 from srsub import bench, regress
 from srsub.bench import _chain_verify, chain_stats, run_problem
-from srsub.errors import Unsampleable
+from srsub.errors import Unsampleable, UnsupportedExpression
 
 from oracles import arms_fitted_separately, benchmark_search
 
@@ -191,6 +191,20 @@ def _smoke_corpus(tmp_path):
     path = tmp_path / "smoke.tsv"
     path.write_text("# smoke corpus\n" + "\n".join(lines) + "\n")
     return path
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("b\tx\tx1+x2", ValueError),  # d is not an integer
+    ("b\t2\tx1+x2\t1:", ValueError),  # a range without its upper end
+    ("b\t2\tx1$x2", UnsupportedExpression),  # untokenizable expression
+    ("b\t1\tx1+x2", UnsupportedExpression),  # a variable past d
+    ("b\t2\tx1+x2\t1:2,1:2,1:2", ValueError),  # three ranges for two variables
+])
+def test_load_corpus_names_the_malformed_line(tmp_path, bad, error):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# corpus\na\t2\tx1*x2\n{bad}\n")
+    with pytest.raises(error, match=r"^line 3: "):
+        load_corpus(path)
 
 
 def test_run_benchmark_smoke(tmp_path):

@@ -1,9 +1,12 @@
-"""Every name a module under src/srsub imports is used in that module.
+"""Every name a module under src/srsub imports is used in that module, and
+no module reads another module's private names.
 
-No linter is installed with the test dependencies, so this check walks each
+No linter is installed with the test dependencies, so these checks walk each
 module's syntax tree with the standard library only.  A name counts as used
 when the module reads it anywhere: in code, in an annotation, or as the base
-of an attribute access.
+of an attribute access.  A private name starts with one underscore; reading
+one means importing it from a package module or reading it as an attribute
+of a package module bound by an import.
 """
 
 import ast
@@ -50,3 +53,45 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _package_import(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "srsub"
+
+
+def _private_reads(source: str) -> list[str]:
+    tree = ast.parse(source)
+    found = []
+    modules = set()  # names bound to package modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _package_import(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.split(".")[0] == "srsub")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_finds_a_private_read():
+    source = ("from . import symbolic\nfrom .dag import _const_repr, fold\n"
+              "import numpy as np\nimport srsub.bench as bench\n\n"
+              "def f(dag, x):\n    return (symbolic._agreed(x), symbolic.depends_on, np._x,\n"
+              "            dag._keys, fold.__name__, bench._problem)\n")
+    assert _private_reads(source) == ["_const_repr (line 2)", "bench._problem (line 8)",
+                                      "symbolic._agreed (line 7)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_private_name_of_another(path):
+    assert _private_reads(path.read_text(encoding="utf-8")) == []

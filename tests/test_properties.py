@@ -396,7 +396,7 @@ def test_dependence_witness_implies_no_eliminated_form(dag, targets):
     except OverflowError:  # sympy folds exp(exp(1e20)) at once
         assume(False)
     targets = tuple(sorted(targets))
-    assume(symbolic._witness(expr, dag.var_indices(), targets))
+    assume(symbolic._witness(expr, [symbolic._sym(i) for i in range(dag.arity)], targets))
     assert symbolic.eliminated_form(expr, [symbolic._sym(i) for i in targets]) is None
 
 
@@ -408,7 +408,8 @@ def test_dependence_witness_implies_no_eliminated_form(dag, targets):
 ])
 def test_dependence_witness_never_fires_on_independence(text, targets, verdict):
     dag = parse(text)
-    assert not symbolic._witness(symbolic.to_sympy(dag), dag.var_indices(), targets)
+    symbols = [symbolic._sym(i) for i in range(dag.arity)]
+    assert not symbolic._witness(symbolic.to_sympy(dag), symbols, targets)
     if verdict is Inconclusive:
         with pytest.raises(Inconclusive):
             depends_on(dag, targets)
@@ -425,9 +426,9 @@ def test_non_integer_constant_goes_to_rewrite_chain(monkeypatch):
         return escalate(expr)
 
     monkeypatch.setattr(symbolic, "_escalate", counting)
-    s = simplify(parse("x1*0.5+x2"))
-    assert symbolic.to_sympy(s).has(sp.Float)
-    assert symbolic._symbolic_dependence(s, (0,)) is True
+    dag = parse("x1*0.5+x2")
+    assert symbolic.to_sympy(simplify(dag)).has(sp.Float)
+    assert depends_on(dag, {0}) is True
     assert len(runs) == 1
 
 

@@ -1,5 +1,8 @@
 """Canonical simplification, complexity, and subexpression sets."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -95,3 +98,18 @@ def test_simplify_and_complexity_fold_to_infinity_without_raising(text):
     s = simplify(parse(text))
     assert "inf" in s.key
     assert complexity(parse(text)) >= 1
+
+
+@pytest.mark.parametrize("op", ["+", "*", "-"])
+def test_long_chains_simplify_without_recursion(op):
+    # operands are collected with an explicit stack, so a chain is not
+    # limited by the recursion depth; 200 terms stay fast under a lowered limit
+    dag = parse(op.join(f"x{i % 3 + 1}" for i in range(200)))
+    want = complexity(dag), subexpressions(dag)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = complexity(dag), subexpressions(dag)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want

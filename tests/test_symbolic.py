@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from srsub import GrammarBudget, depends_on, equivalent, parse, substitution, symbolic
+from srsub import (
+    GrammarBudget,
+    InputSub,
+    OutInputSub,
+    depends_on,
+    equivalent,
+    parse,
+    substitution,
+    symbolic,
+)
 from srsub.dag import OPS
 from srsub.errors import Inconclusive
 
@@ -114,17 +124,26 @@ def test_equivalent_reflexive_symmetric_on_random_corpus():
 
 
 def _enumeration_queries(monkeypatch, budget):
-    """Every (simplified dag, targets) query that candidate enumeration under
-    `budget` makes of the CAS verdict, enumerating from an empty cache."""
+    """Every (dag, expression, symbols, targets) query that candidate
+    enumeration under `budget` makes of `independent_form`, enumerating from
+    an empty cache.  The dag is the one `depends_on` was asked about: distinct
+    canonical dags can share a sympy expression, such as x1*(x2+x2) and
+    x2*(x1+x1)."""
     queries = []
-    verdict = symbolic._symbolic_dependence
+    asked = []
+    ask, verdict = symbolic.depends_on, symbolic.independent_form
 
-    def recording(s, targets):
-        queries.append((s, targets))
-        return verdict(s, targets)
+    def asking(dag, variables):
+        asked.append(dag)
+        return ask(dag, variables)
+
+    def recording(expr, symbols, targets, fn=None):
+        queries.append((asked[-1], expr, tuple(symbols), tuple(targets)))
+        return verdict(expr, symbols, targets, fn=fn)
 
     monkeypatch.setattr(substitution, "_dag_cache", {})
-    monkeypatch.setattr(symbolic, "_symbolic_dependence", recording)
+    monkeypatch.setattr(symbolic, "depends_on", asking)
+    monkeypatch.setattr(symbolic, "independent_form", recording)
     for arity in (2, 3):
         substitution.input_candidate_dags(arity, budget)
     for n_inputs in (1, 2):
@@ -134,19 +153,21 @@ def _enumeration_queries(monkeypatch, budget):
 
 def test_witness_verdicts_equal_rewrite_chain_verdicts(monkeypatch):
     # the exact witness only skips the chain: on every query that candidate
-    # enumeration makes, the verdict is the chain's
+    # enumeration makes, a witness fires only where the chain finds no form
+    # free of the targets either
     budgets = [GrammarBudget(), GrammarBudget(max_intermediary_nodes=0),
                GrammarBudget(allowed_ops=frozenset({"+", "-", "*", "/"})),
                GrammarBudget(allowed_ops=frozenset(OPS))]
-    verdict = symbolic._symbolic_dependence
     queries = set()
     for budget in budgets:
         queries.update(_enumeration_queries(monkeypatch, budget))
     assert len(queries) == 250
-    for s, targets in queries:
-        chain = symbolic.eliminated_form(
-            symbolic.to_sympy(s), [symbolic._sym(i) for i in targets]) is None
-        assert verdict(s, targets) is chain, s
+    witnessed = 0
+    for _, expr, symbols, targets in queries:
+        if symbolic._witness(expr, symbols, targets):
+            witnessed += 1
+            assert symbolic.eliminated_form(expr, [symbols[t] for t in targets]) is None, expr
+    assert witnessed > 200
 
 
 def test_default_enumeration_runs_rewrite_chain_at_most_four_times(monkeypatch):
@@ -168,5 +189,36 @@ def test_witness_gives_up_on_exp_towers():
     # evalf of exp(exp(exp(exp(7/5)))) would need about 1e25 extra bits; the
     # tower goes to the rewrite chain instead, which finds it dependent
     dag = parse("exp(exp(exp(exp(exp(x1)))))+x2")
-    assert not symbolic._witness(symbolic.to_sympy(dag), dag.var_indices(), (0,))
+    symbols = [symbolic._sym(i) for i in range(dag.arity)]
+    assert symbolic._witness(symbolic.to_sympy(parse("exp(x1)+x2")), symbols, (0,))
+    assert not symbolic._witness(symbolic.to_sympy(dag), symbols, (0,))
     assert depends_on(dag, {0}) is True
+
+
+def test_witness_takes_the_coordinate_of_its_slot():
+    x1, x2, x3, g = (sp.Symbol(name, real=True) for name in ("x1", "x2", "x3", "g_0"))
+    assert symbolic._witness(x1 * x2, [x1, x2], (0,))
+    assert not symbolic._witness(x1 * x2, [x1, x2, x3], (2,))
+    # the reduced formula of the invalid edge x1+x2 -> g for x1*x2+x3: the
+    # fresh symbol g takes the slot after the formula's variables
+    assert symbolic._witness((g - x2) * x2 + x3, [x1, x2, x3, g], (0, 1))
+    # a symbol outside `symbols` leaves no witness
+    assert not symbolic._witness(x1 * g, [x1, x2], (0,))
+
+
+def test_verification_skips_the_rewrite_chain_where_a_witness_fires(monkeypatch):
+    runs = []
+    escalate = symbolic._escalate
+
+    def counting(expr):
+        runs.append(expr)
+        return escalate(expr)
+
+    monkeypatch.setattr(symbolic, "_escalate", counting)
+    truth, symbols = substitution.sympy_truth(parse("x1*x2+x3"))
+    for sub, valid in ((InputSub(parse("x1+x2", arity=2), (0, 1)), False),
+                       (OutInputSub(parse("x2/x1", arity=2), (2,)), False),
+                       (InputSub(parse("x1*x2", arity=2), (0, 1)), True)):
+        runs.clear()
+        assert substitution.reduce_truth(truth, symbols, sub)[0] is valid
+        assert len(runs) == (1 if valid else 0), (sub, runs)
