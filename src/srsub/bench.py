@@ -23,17 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .beamsearch import BeamConfig, SearchResult, search, trace_records
-from .dag import ExprDag, evaluate
+from .dag import ExprDag, evaluate, sample_finite
 from .errors import ExternalFailure, SrsubError, Unsampleable, Unverifiable
 from .exprtext import parse
 from .regress import RegressorSpec, SolveResult, holdout_mask, solve_pipeline
 from .simplify import subexpressions
 from .substitution import Dataset, reduce_truth, sympy_truth
 from .symbolic import equivalent
-
-SAMPLER_START = 1.0
-SAMPLER_STEP = 0.5
-SAMPLER_LIMIT = 150.0
 
 BUNDLED_CORPORA = {
     "feynman-desk": "feynman_desk.tsv",
@@ -54,6 +50,8 @@ class Problem:
         if self.f_true.arity != self.d:
             raise ValueError(f"{self.id}: formula arity {self.f_true.arity} != d {self.d}")
         if self.box is not None:
+            if self.d == 0:
+                raise ValueError(f"{self.id}: a formula of no variables takes no sampling box")
             if len(self.box) != self.d:
                 raise ValueError(f"{self.id}: box needs one range per variable")
             if any(not lo < hi for lo, hi in self.box):
@@ -126,45 +124,16 @@ def _problem(line: str) -> Problem:
 
 
 def sample_problem(p: Problem, n: int, seed: int) -> Dataset:
-    """Sample observations of a known formula.
-
-    Without a sampling box: interval-growing rejection sampling.  Draw the
-    missing rows uniformly on [-c, c]^d, keep rows where the formula
-    evaluates to a finite value, and grow c by 0.5 until n rows are
-    collected; reject the problem when c exceeds 150 with rows still
-    missing.  With a box: draw uniformly on the fixed box with the same
-    finite-row rejection.
+    """Sample observations of a known formula: `dag.sample_finite`'s rows
+    of the formula, from the problem's box or else from its growing cube.
+    Raises Unsampleable when fewer than n finite rows come back.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    d = max(p.d, 1)
-    rows_x: list[np.ndarray] = []
-    rows_y: list[np.ndarray] = []
-    have = 0
-    c = SAMPLER_START
-    rounds = 0
-    while have < n:
-        if p.box is None:
-            if c > SAMPLER_LIMIT:
-                raise Unsampleable(f"{p.id}: interval limit reached with {have}/{n} rows")
-            pts = rng.uniform(-c, c, size=(n - have, d))
-        else:
-            if rounds > 200:
-                raise Unsampleable(f"{p.id}: sampling box yields too few valid rows")
-            lows = np.array([lo for lo, _ in p.box])
-            highs = np.array([hi for _, hi in p.box])
-            pts = rng.uniform(lows, highs, size=(n - have, d))
-        vals = evaluate(p.f_true, pts)
-        mask = np.isfinite(vals)
-        if mask.any():
-            rows_x.append(pts[mask])
-            rows_y.append(vals[mask])
-            have += int(mask.sum())
-        c += SAMPLER_STEP
-        rounds += 1
-    X = np.vstack(rows_x)[:n]
-    y = np.concatenate(rows_y)[:n]
+    X, y = sample_finite(lambda pts: evaluate(p.f_true, pts), n, p.d,
+                         np.random.default_rng(seed), p.box)
+    if len(y) < n:
+        raise Unsampleable(f"{p.id}: sampler stopped with {len(y)}/{n} finite rows")
     return Dataset.from_arrays(X, y)
 
 
@@ -369,8 +338,14 @@ def run_benchmark(problems: Sequence[Problem], cfg: BeamConfig, spec: RegressorS
     Failures are recorded as rows with a status, never aborting the run;
     a problem whose worker process dies is a `BrokenProcessPool` row (see
     `_run_pooled`).  Aggregates are the means of the ok rows.  Deterministic
-    per seed, independent of the worker count.
+    per seed, independent of the worker count.  Raises ValueError before
+    any problem runs when `n_samples` < 1 or `holdout_fraction` is outside
+    (0, 1).
     """
+    if n_samples < 1:
+        raise ValueError("n must be >= 1")
+    if not 0 < holdout_fraction < 1:
+        raise ValueError("holdout fraction must be in (0, 1)")
     seeds = [seed + 1000 * i for i in range(len(problems))]
     tasks = [
         (p, cfg, spec, noise, s, n_samples, holdout_fraction, fit_models)

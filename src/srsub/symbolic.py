@@ -11,9 +11,12 @@ expression computed from exact rational points of the positive orthant,
 proves dependence outright.  Without one, a chain of rewrites looks for a
 form free of the variables.  Every form in the chain equals the expression on
 the positive orthant, so the chain finds none whenever a witness exists, and
-the two ways agree.  The symbolic verdict is then joined with a randomized
-numeric check on the sampling domain; when the two sides disagree the result
-is reported as Inconclusive rather than guessed.
+the two ways agree.  The symbolic verdict is then joined with a numeric
+probe: `dag.sample_finite`, seeded, draws 100 points where the expression
+is finite, each point takes the target coordinates of the point drawn before
+it, and any clear change in value is dependence.  When the two sides
+disagree the result is reported as Inconclusive rather than guessed.  The
+constancy probe behind `equivalent` draws its points the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import sympy as sp
 
-from .dag import OPS, Const, DagBuilder, ExprDag, evaluate, fold
+from .dag import OPS, Const, DagBuilder, ExprDag, evaluate, fold, sample_finite
 from .errors import Inconclusive
 from .simplify import simplify
 
@@ -112,66 +115,30 @@ def eliminated_form(expr: sp.Expr, targets: Sequence[sp.Symbol]) -> sp.Expr | No
 # -- randomized numeric checks ------------------------------------------------
 
 
-def sample_valid_points(fn: Callable[[np.ndarray], np.ndarray], arity: int,
-                        n_points: int, rng: np.random.Generator,
-                        max_grow: float = 150.0) -> tuple[np.ndarray, np.ndarray]:
-    """Draw uniform points on a growing cube [-c, c]^arity, keeping rows where
-    `fn` evaluates to a finite value, until `n_points` rows are collected;
-    the points and `fn`'s values at them.
-
-    `fn` must ignore floating-point errors itself, as the functions that
-    `_dag_fn` and `lambdify_fn` return do."""
-    points: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    total = 0
-    c = 1.0
-    while total < n_points and c <= max_grow:
-        pts = rng.uniform(-c, c, size=(max(2 * n_points, 32), max(arity, 1)))
-        vals = fn(pts)
-        mask = np.isfinite(vals)
-        if mask.any():
-            points.append(pts[mask][: n_points - total])
-            values.append(vals[mask][: n_points - total])
-            total += len(points[-1])
-        c += 0.5
-    if not points:
-        return np.empty((0, max(arity, 1))), np.empty(0)
-    return np.vstack(points), np.concatenate(values)
-
-
 def numeric_depends(fn: Callable[[np.ndarray], np.ndarray], arity: int,
                     targets: Sequence[int]) -> bool | None:
-    """Perturb the target coordinates at valid base points; None when too few
-    valid comparisons could be made.  `fn` must ignore floating-point errors
-    itself."""
-    rng = np.random.default_rng(DEFAULT_SEED)
+    """Whether `fn` changes, beyond a relative 1e-9, at 100 points where it
+    is finite when each point takes the target coordinates of the point
+    drawn before it (the first takes the last one's); None when fewer than
+    20 of the moved points are valid.  `fn` must ignore floating-point
+    errors itself."""
     targets = list(targets)
-    compared = 0
-    c = 1.0
-    while compared < _NUMERIC_DEP_TRIALS and c <= 60.0:
-        base, v0 = sample_valid_points(fn, arity, _NUMERIC_DEP_TRIALS, rng, max_grow=c)
-        if len(base):
-            pert = base.copy()
-            pert[:, targets] = rng.uniform(-c, c, size=(len(base), len(targets)))
-            v1 = fn(pert)
-            ok = np.isfinite(v1)
-            if ok.any():
-                diff = np.abs(v0[ok] - v1[ok])
-                if np.any(diff > _NUMERIC_DEP_TOL * (1.0 + np.abs(v0[ok]))):
-                    return True
-                compared += int(ok.sum())
-        c += 2.0
-    if compared < 20:
-        return None
-    return False
+    base, v0 = sample_finite(fn, _NUMERIC_DEP_TRIALS, arity,
+                             np.random.default_rng(DEFAULT_SEED))
+    moved = base.copy()
+    moved[:, targets] = np.roll(base[:, targets], 1, axis=0)
+    v1 = fn(moved)
+    ok = np.isfinite(v1)
+    if np.any(np.abs(v0[ok] - v1[ok]) > _NUMERIC_DEP_TOL * (1.0 + np.abs(v0[ok]))):
+        return True
+    return None if ok.sum() < 20 else False
 
 
 def numeric_constant(fn: Callable[[np.ndarray], np.ndarray], arity: int) -> bool | None:
     """Whether `fn` is constant, up to a relative spread of 1e-6, at points
     where it is finite; None when fewer than 10 such points were found.
     `fn` must ignore floating-point errors itself."""
-    _, vals = sample_valid_points(fn, arity, _CONST_POINTS,
-                                  np.random.default_rng(DEFAULT_SEED))
+    _, vals = sample_finite(fn, _CONST_POINTS, arity, np.random.default_rng(DEFAULT_SEED))
     if len(vals) < 10:
         return None
     spread = float(np.max(vals) - np.min(vals))
@@ -290,14 +257,9 @@ def depends_on(dag: ExprDag, variables: Iterable[int]) -> bool:
     otherwise Inconclusive is raised.
     """
     targets = tuple(sorted(set(variables)))
-    s = simplify(dag)
-    fn = _dag_fn(dag)
-    if not s.var_indices() & set(targets):
-        # the canonical form is the rewrite free of the targets; only the
-        # probe can contradict it
-        return _agreed(False, numeric_depends(fn, dag.arity, targets))
     symbols = [_sym(i) for i in range(dag.arity)]
-    return independent_form(to_sympy(s), symbols, targets, fn=fn) is None
+    return independent_form(to_sympy(simplify(dag)), symbols, targets,
+                            fn=_dag_fn(dag)) is None
 
 
 def _constant_verdict(diff_dag: ExprDag, expr: sp.Expr) -> sp.Expr | None:

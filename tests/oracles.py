@@ -167,6 +167,63 @@ def nrmse_masked(y, yhat, penalty=10.0):
     return float(np.sqrt(np.sum(sq) / total))
 
 
+# -- numeric probes that draw batch after batch ---------------------------------
+
+
+def sample_valid_points(fn, arity, n_points, rng, max_grow=150.0):
+    """Rows where `fn` is finite, from batches of max(2n, 32) uniform points
+    on [-c, c]^arity, c growing from 1 by 0.5 up to `max_grow`."""
+    points, values = [], []
+    total = 0
+    c = 1.0
+    while total < n_points and c <= max_grow:
+        pts = rng.uniform(-c, c, size=(max(2 * n_points, 32), max(arity, 1)))
+        vals = fn(pts)
+        mask = np.isfinite(vals)
+        if mask.any():
+            points.append(pts[mask][: n_points - total])
+            values.append(vals[mask][: n_points - total])
+            total += len(points[-1])
+        c += 0.5
+    if not points:
+        return np.empty((0, max(arity, 1))), np.empty(0)
+    return np.vstack(points), np.concatenate(values)
+
+
+def numeric_depends_redrawn(fn, arity, targets, seed=17):
+    """Dependence by redrawing the targets uniformly at valid base points,
+    round after round on a cube that widens by 2 up to half-width 60, until
+    100 comparisons are made; None below 20 comparisons."""
+    rng = np.random.default_rng(seed)
+    targets = list(targets)
+    compared = 0
+    c = 1.0
+    while compared < 100 and c <= 60.0:
+        base, v0 = sample_valid_points(fn, arity, 100, rng, max_grow=c)
+        if len(base):
+            pert = base.copy()
+            pert[:, targets] = rng.uniform(-c, c, size=(len(base), len(targets)))
+            v1 = fn(pert)
+            ok = np.isfinite(v1)
+            if ok.any():
+                diff = np.abs(v0[ok] - v1[ok])
+                if np.any(diff > 1e-9 * (1.0 + np.abs(v0[ok]))):
+                    return True
+                compared += int(ok.sum())
+        c += 2.0
+    return None if compared < 20 else False
+
+
+def numeric_constant_batched(fn, arity, seed=17):
+    """Constancy to a relative spread of 1e-6 over the first 100 valid
+    points of `sample_valid_points`; None below 10 points."""
+    _, vals = sample_valid_points(fn, arity, 100, np.random.default_rng(seed))
+    if len(vals) < 10:
+        return None
+    spread = float(np.max(vals) - np.min(vals))
+    return spread <= 1e-6 * (1.0 + float(np.max(np.abs(vals))))
+
+
 # -- beam levels by sorting every child --------------------------------------------
 
 

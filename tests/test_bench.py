@@ -1,5 +1,6 @@
 """Benchmark harness: sampler, noise, metrics, reports."""
 
+import hashlib
 import multiprocessing
 import os
 
@@ -55,6 +56,19 @@ def test_sampler_box_mode():
     p = Problem(id="boxed", d=2, f_true=parse("x1/x2"), box=((1.0, 5.0), (1.0, 5.0)))
     ds = sample_problem(p, 400, seed=3)
     assert ds.X.min() >= 1.0 and ds.X.max() <= 5.0
+
+
+@pytest.mark.parametrize("text, d, n, seed, box, pin", [
+    ("x1+x2", 2, 1000, 0, None, "c7f26c623d3dd14e"),
+    ("log(x1)", 1, 500, 1, None, "8abad2b25cf7e8fe"),
+    # grows the cube past half-width 3 before any row is finite
+    ("sqrt(x1-3)*x2", 2, 300, 4, None, "33d8e0d48737d571"),
+    ("x1/x2", 2, 400, 3, ((1.0, 5.0), (1.0, 5.0)), "52481814de7aadae"),
+    ("log(x1-2)*x2", 2, 300, 6, ((1.0, 5.0), (-1.0, 1.0)), "e12f15eb2fa11b9f"),
+])
+def test_sampler_rows_are_pinned(text, d, n, seed, box, pin):
+    ds = sample_problem(Problem(id="pin", d=d, f_true=parse(text), box=box), n, seed)
+    assert hashlib.sha256(ds.X.tobytes() + ds.y.tobytes()).hexdigest()[:16] == pin
 
 
 def test_noise_zero_is_identity():
@@ -199,6 +213,7 @@ def _smoke_corpus(tmp_path):
     ("b\t2\tx1$x2", UnsupportedExpression),  # untokenizable expression
     ("b\t1\tx1+x2", UnsupportedExpression),  # a variable past d
     ("b\t2\tx1+x2\t1:2,1:2,1:2", ValueError),  # three ranges for two variables
+    ("b\t0\t3.0\t1:5", ValueError),  # a range for no variables
 ])
 def test_load_corpus_names_the_malformed_line(tmp_path, bad, error):
     path = tmp_path / "bad.tsv"
@@ -332,6 +347,22 @@ def test_run_benchmark_records_failures(tmp_path):
                         NoiseLevel(0.0), seed=19, n_samples=100, workers=1)
     assert rep.rows[0]["status"] == "ok"
     assert rep.rows[1]["status"] == "Unsampleable"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_samples=0), "n must be >= 1"),
+    (dict(holdout_fraction=1.5), r"holdout fraction must be in \(0, 1\)"),
+    (dict(holdout_fraction=0.0), r"holdout fraction must be in \(0, 1\)"),
+])
+def test_run_benchmark_rejects_settings_before_any_problem(tmp_path, monkeypatch, kwargs,
+                                                          message):
+    problems = load_corpus(_smoke_corpus(tmp_path))[:2]
+    ran = []
+    monkeypatch.setattr(bench, "run_problem", lambda p, *args: ran.append(p.id))
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(problems, BeamConfig(), RegressorSpec(kind="poly"), NoiseLevel(0.0),
+                      seed=3, workers=1, fit_models=False, **kwargs)
+    assert ran == []
 
 
 def test_report_csv_roundtrip(tmp_path):

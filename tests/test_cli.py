@@ -140,6 +140,14 @@ def test_bench_smoke_corpus(tmp_path, capsys):
     assert out.with_suffix(".trace.jsonl").exists()
 
 
+@pytest.mark.parametrize("flag", [["--holdout", "1.5"], ["--n", "0"]])
+def test_bench_invalid_setting_is_data_error(tmp_path, flag):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\t2\tx1*x2\n")
+    args = ["bench", str(corpus), "--rates-only", "--n", "200", "--threads", "1"]
+    assert main(args + flag + ["--out", str(tmp_path / "rep.csv")]) == 2
+
+
 def test_bench_plot_data_flag(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("a\t2\tx1*x2\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srsub import GrammarBudget, RegressorSpec, evaluate, parse, solve_for, to_text
-from srsub.dag import DagBuilder, bind_placeholders, invertible_path
+from srsub.dag import DagBuilder, bind_placeholders, invertible_path, sample_finite
 from srsub.errors import NotSolvable, UnsupportedExpression
 from srsub.exprtext import _tokenize
 from srsub.regress import _skeletons
@@ -212,6 +212,62 @@ def test_parse_power_notation():
     # negative exponents are unchanged
     assert parse("x1^-2") == parse("1/(x1*x1)")
     assert parse("2^-1*x1") == parse("1/2*x1")
+
+
+# -- sampling finite points ----------------------------------------------------
+
+
+def _recording(fn, sizes):
+    def recorded(pts):
+        sizes.append(len(pts))
+        return fn(pts)
+    return recorded
+
+
+def test_sample_finite_first_draw_lies_in_the_unit_cube():
+    sizes = []
+    pts, vals = sample_finite(_recording(lambda p: p.sum(axis=1), sizes), 50, 3,
+                              np.random.default_rng(0))
+    assert pts.shape == (50, 3) and sizes == [50]
+    assert np.abs(pts).max() <= 1.0
+    assert np.array_equal(vals, pts.sum(axis=1))
+
+
+def test_sample_finite_grows_the_cube_for_a_partly_finite_fn():
+    sizes = []
+    f = parse("log(x1-3)*x2")
+    pts, vals = sample_finite(_recording(lambda p: evaluate(f, p), sizes), 200, 2,
+                              np.random.default_rng(1))
+    assert len(pts) == 200 and (pts[:, 0] > 3).all()
+    assert np.array_equal(vals, evaluate(f, pts))
+    # no row is finite up to half-width 3; each draw takes the missing rows
+    assert sizes[:5] == [200] * 5 and len(sizes) > 5
+    assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert np.abs(pts).max() <= 1.0 + 0.5 * (len(sizes) - 1)
+
+
+def test_sample_finite_keeps_to_the_box():
+    box = ((2.0, 3.0), (-5.0, -4.0))
+    f = parse("log(x1-2.5)", arity=2)
+    pts, _ = sample_finite(lambda p: evaluate(f, p), 100, 2, np.random.default_rng(2), box)
+    assert len(pts) == 100
+    assert (pts[:, 0] > 2.5).all() and (pts[:, 0] <= 3.0).all()
+    assert (pts[:, 1] >= -5.0).all() and (pts[:, 1] <= -4.0).all()
+
+
+def test_sample_finite_returns_no_rows_after_299_draws_of_a_nowhere_finite_fn():
+    sizes = []
+    pts, vals = sample_finite(_recording(lambda p: np.full(len(p), np.nan), sizes), 10, 2,
+                              np.random.default_rng(3))
+    assert pts.shape == (0, 2) and vals.shape == (0,)
+    assert sizes == [10] * 299
+
+
+def test_sample_finite_draws_one_column_for_no_variables():
+    pts, vals = sample_finite(lambda p: evaluate(parse("3.0"), p), 20, 0,
+                              np.random.default_rng(4))
+    assert pts.shape == (20, 1)
+    assert (vals == 3.0).all()
 
 
 # -- solving -------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a module under src/srsub imports is used in that module, and
-no module reads another module's private names.
+"""Every name a module under src/srsub imports is used in that module, no
+module reads another module's private names, and only `dag.sample_finite`
+draws uniform random points.
 
 No linter is installed with the test dependencies, so these checks walk each
 module's syntax tree with the standard library only.  A name counts as used
@@ -95,3 +96,31 @@ def test_finds_a_private_read():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def _uniform_draws(source: str, module: str) -> list[str]:
+    """Every call of an attribute named `uniform` outside the function
+    `sample_finite` of the module named `dag`."""
+    tree = ast.parse(source)
+    allowed = set()
+    if module == "dag":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "sample_finite":
+                allowed.update(id(inner) for inner in ast.walk(node))
+    return [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "uniform" and id(node) not in allowed]
+
+
+def test_finds_a_uniform_draw_outside_the_sampler():
+    source = ("import numpy as np\n\n"
+              "def sample_finite(rng):\n    return rng.uniform(-1, 1)\n\n"
+              "def probe(rng):\n    draw = rng.uniform\n"
+              "    return np.random.default_rng(0).uniform(size=3), draw\n")
+    assert _uniform_draws(source, "dag") == ["dag.py:8"]
+    assert _uniform_draws(source, "symbolic") == ["symbolic.py:4", "symbolic.py:8"]
+
+
+def test_only_the_sampler_draws_uniform_points():
+    assert [draw for path in sorted(SRC.glob("*.py"))
+            for draw in _uniform_draws(path.read_text(encoding="utf-8"), path.stem)] == []

@@ -14,8 +14,11 @@ from srsub import (
     substitution,
     symbolic,
 )
-from srsub.dag import OPS
+from srsub.dag import OPS, Const, bind_placeholders, evaluate
 from srsub.errors import Inconclusive
+from srsub.grammar import enumerate_dags
+
+from oracles import numeric_constant_batched, numeric_depends_redrawn
 
 
 def test_depends_cancelling_product():
@@ -222,3 +225,25 @@ def test_verification_skips_the_rewrite_chain_where_a_witness_fires(monkeypatch)
         runs.clear()
         assert substitution.reduce_truth(truth, symbols, sub)[0] is valid
         assert len(runs) == (1 if valid else 0), (sub, runs)
+
+
+def test_probes_agree_with_their_batched_references():
+    # the swap probe and the constancy probe, each one sample_finite call,
+    # give the verdicts of the round-after-round references on every
+    # arity-2 dag of one intermediary node, placeholders bound
+    verdicts = []
+    for dag in enumerate_dags(2, GrammarBudget(allow_constants=True)):
+        names = sorted(node.name for node in dag.nodes
+                       if isinstance(node, Const) and node.is_placeholder)
+        bound = bind_placeholders(dag, dict(zip(names, (1.7, -0.6))))
+
+        def fn(pts, bound=bound):
+            return evaluate(bound, pts)
+
+        for targets in ((0,), (1,), (0, 1)):
+            verdict = symbolic.numeric_depends(fn, 2, targets)
+            assert verdict == numeric_depends_redrawn(fn, 2, targets), (bound, targets)
+            verdicts.append(verdict)
+        assert symbolic.numeric_constant(fn, 2) == numeric_constant_batched(fn, 2), bound
+    assert len(verdicts) == 3024
+    assert {True, False, None} <= set(verdicts)
