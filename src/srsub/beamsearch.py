@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .dag import DagBuilder, ExprDag, compose, solve_for
 from .depmeasure import chatterjee_xi, codec, compute_ranks, kmac, neighbor_map, volume_score
 from .errors import DegenerateY, TooFewRows
@@ -25,7 +23,6 @@ from .substitution import (
     CANDIDATE_CAP,
     Dataset,
     InputSub,
-    OutInputSub,
     Substitution,
     aifeynman_candidates,
     apply_substitution,
@@ -91,27 +88,22 @@ class SearchResult:
         return self.best_path[0]
 
 
-def _uses_neighbor_map(measure: str, d: int) -> bool:
-    return measure in ("codec", "kmac") or (measure == "xi" and d > 1)
-
-
 def _score_dataset(ds: Dataset, measure: str, y_ranks=None,
-                   nn: np.ndarray | None = None) -> float:
-    if measure == "codec":
-        return codec(ds.X, ds.y, ranks=y_ranks, nn=nn)
-    if measure == "kmac":
-        return kmac(ds.X, ds.y, nn=nn)
+                   memo: dict | None = None) -> float:
     if measure == "volume":
-        return volume_score(ds.X, ds.y)
+        return volume_score(ds.X, ds.y, memo)
     # the univariate rank coefficient applies to one-column problems; its
     # multivariate generalization covers the rest
-    if ds.d == 1:
+    if measure == "xi" and ds.d == 1:
         return chatterjee_xi(ds.X[:, 0], ds.y)
+    nn = neighbor_map(ds.X, memo)
+    if measure == "kmac":
+        return kmac(ds.X, ds.y, nn=nn)
     return codec(ds.X, ds.y, ranks=y_ranks, nn=nn)
 
 
 def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
-                    parent_ranks=None, nn_maps: dict | None = None
+                    parent_ranks=None, memo: dict | None = None
                     ) -> tuple[Dataset, float] | None:
     """Apply a substitution and score the transformed problem: the child
     dataset and its dependence score.
@@ -120,10 +112,11 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
     near-constant output, a resolution-collapsed input column, or a
     degenerate rank denominator.
 
-    `nn_maps` collects the neighbor indices of out-input children of this
-    one parent.  Such a child's inputs are the parent's columns outside I on
-    the surviving rows, so (I, surviving rows) keys its map, which is built
-    once and reused by every later out-input candidate with that key.
+    `memo` is the dict `neighbor_map` and `volume_score` keep their results
+    in, keyed by the standardized point set up to column sign.  One dict
+    serves a whole search: children of any parent or level that see the
+    same points (x1-x2 and x2-x1, or an out-input child whose columns are
+    an earlier child's) share one neighbor map or one volume score.
     """
     try:
         ds = apply_substitution(parent.dataset, sub)
@@ -133,19 +126,10 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
         return None
     if isinstance(sub, InputSub) and degenerate_column(ds.X[:, 0]):
         return None
-    nn = None
-    if (nn_maps is not None and isinstance(sub, OutInputSub)
-            and _uses_neighbor_map(measure, ds.d)):
-        key = (sub.I, ds.origin_rows.tobytes())
-        nn = nn_maps.get(key)
-        if nn is None:
-            nn = nn_maps[key] = neighbor_map(ds.X)
+    # output untouched and no rows dropped: reuse the parent's ranks
+    same_y = isinstance(sub, InputSub) and ds.n == parent.dataset.n
     try:
-        if isinstance(sub, InputSub) and ds.n == parent.dataset.n:
-            # output untouched and no rows dropped: reuse the parent's ranks
-            score = _score_dataset(ds, measure, y_ranks=parent_ranks)
-        else:
-            score = _score_dataset(ds, measure, nn=nn)
+        score = _score_dataset(ds, measure, parent_ranks if same_y else None, memo)
     except DegenerateY:
         return None
     return ds, score
@@ -162,7 +146,7 @@ def _candidates(d: int, cfg: BeamConfig) -> Iterator[Substitution]:
 
 
 def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
-              seq: Iterator[int]) -> Iterator[SearchNode]:
+              seq: Iterator[int], memo: dict) -> Iterator[SearchNode]:
     """The accepted children of the beam's nodes in discovery order, at most
     CANDIDATE_CAP candidates per parent."""
     for parent in beam:
@@ -172,9 +156,8 @@ def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
             parent_ranks = compute_ranks(parent.dataset.y)
         except ValueError:
             continue
-        nn_maps: dict = {}
         for sub in itertools.islice(_candidates(parent.dataset.d, cfg), CANDIDATE_CAP):
-            scored = score_candidate(parent, sub, cfg.measure, parent_ranks, nn_maps)
+            scored = score_candidate(parent, sub, cfg.measure, parent_ranks, memo)
             if scored is not None:
                 ds, score = scored
                 yield SearchNode(dataset=ds, score=score, parent=parent,
@@ -186,12 +169,14 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
 
     Each level keeps the `beam_size` best children by (-score, n_vars,
     seq), and while a level is scored no more than `beam_size` + 1 of its
-    children are held.
+    children are held.  One memo of neighbor maps and volume scores lives
+    for the whole search (see `score_candidate`).
     """
     if root_ds.n < MIN_ROOT_ROWS:
         raise ValueError(f"need at least {MIN_ROOT_ROWS} rows, got {root_ds.n}")
+    memo: dict = {}
     try:
-        root_score = _score_dataset(root_ds, cfg.measure)
+        root_score = _score_dataset(root_ds, cfg.measure, memo=memo)
     except DegenerateY:
         root_score = float("-inf")
     root = SearchNode(dataset=root_ds, score=root_score)
@@ -200,7 +185,7 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     beam = [root]
     seq = itertools.count(1)
     for depth in range(1, max(root_ds.d - 1, 0) + 1):
-        beam = heapq.nsmallest(cfg.beam_size, _children(beam, cfg, depth, seq),
+        beam = heapq.nsmallest(cfg.beam_size, _children(beam, cfg, depth, seq, memo),
                                key=lambda node: (-node.score, node.n_vars, node.seq))
         if not beam:
             break

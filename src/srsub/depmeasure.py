@@ -4,12 +4,20 @@ Implements the rank-based coefficients (the univariate consecutive-rank
 coefficient and its multivariate nearest-neighbor generalization), a kernel
 association measure over a 1-NN graph with a Gaussian RBF kernel, and a
 volume-of-parallelepiped baseline.  All scores are pure functions of their
-inputs: nearest-neighbor ties break to the lowest index, and internal
-subsampling is strided, so repeated calls are bitwise reproducible.
+inputs: nearest-neighbor ties break to the lowest index, in the 1-NN map and
+in the volume's neighbor sets alike, and internal subsampling is strided, so
+repeated calls are bitwise reproducible.
+
+`neighbor_map` and `volume_score` take an optional memo, a dict the caller
+keeps for as long as it likes (the beam search keeps one per search).  Both
+key it by the standardized point set the measure sees, up to the sign of each
+column: negating a column changes no squared distance and no |det|, so a hit
+returns exactly what a fresh call would.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +61,31 @@ def _standardize(X: np.ndarray) -> np.ndarray:
     return (X - mean) / std
 
 
-def neighbor_map(X: np.ndarray) -> np.ndarray:
+def _memoised(memo: dict | None, kind: str, Z: np.ndarray, compute):
+    """`compute(Z)`, looked up in `memo` by the standardized point set Z up
+    to column sign: each column is negated where its first entry has the sign
+    bit set, -0.0 becomes 0.0, and the whole is hashed.  `kind` keeps the
+    measures apart."""
+    if memo is None:
+        return compute(Z)
+    canonical = np.where(np.signbit(Z[0]), -Z, Z) + 0.0
+    key = (kind, Z.shape,
+           hashlib.blake2b(canonical.view(np.uint8), digest_size=32).digest())
+    if key not in memo:
+        memo[key] = compute(Z)
+    return memo[key]
+
+
+def neighbor_map(X: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """1-NN indices of X after per-column standardization: the graph that
     codec and kmac score over, as `nearest_neighbors` returns it.  It depends
     on X alone, so callers scoring several outputs against one design matrix
-    can build it once and pass it in."""
+    can build it once and pass it in.  With `memo`, a point set already seen
+    up to column sign (say x1-x2 after x2-x1) reuses its map."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    return nearest_neighbors(_standardize(X))
+    return _memoised(memo, "nn", _standardize(X), nearest_neighbors)
 
 
 def nearest_neighbors(X: np.ndarray) -> np.ndarray:
@@ -257,27 +281,40 @@ def kmac(X: np.ndarray, y: np.ndarray, nn: np.ndarray | None = None) -> float:
 
 def parallelepiped_volumes(Z: np.ndarray) -> np.ndarray:
     """|det| of the difference vectors from each row to its dim nearest
-    neighbors in the given joint space (rows beyond the self match)."""
+    other rows in the given joint space, taken in (distance, index) order.
+
+    The k-d tree's order is kept where a row's window of dim + 2 distances
+    holds no two equal ones, since it is then the (distance, index) order.
+    A row with a tie, self against a duplicate included, is scanned in full.
+    """
     Z = np.asarray(Z, dtype=float)
     n, dim = Z.shape
     if n < dim + 1:
         raise ValueError("need at least dim + 1 rows")
-    _, idx = cKDTree(Z).query(Z, k=min(n, dim + 2))
+    dist, idx = cKDTree(Z).query(Z, k=min(n, dim + 2))
     rows = np.arange(n)
     valid = idx != rows[:, None]
     # first `dim` non-self neighbors per row, still in distance order
     take = valid & (np.cumsum(valid, axis=1) <= dim)
     nbrs = idx[take].reshape(n, dim)
+    # the tree orders equidistant points by its own traversal
+    for i in np.flatnonzero((np.diff(dist, axis=1) == 0).any(axis=1)):
+        diff = Z - Z[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2[i] = np.inf
+        nbrs[i] = np.argsort(d2, kind="stable")[:dim]
     diffs = Z[nbrs] - Z[:, None, :]
     return np.abs(np.linalg.det(diffs))
 
 
-def volume_score(X: np.ndarray, y: np.ndarray) -> float:
+def volume_score(X: np.ndarray, y: np.ndarray, memo: dict | None = None) -> float:
     """Baseline score from mean parallelepiped volume in joint (x, y) space.
 
     On data sampled densely from a function the d+1 difference vectors to the
     nearest neighbors are nearly linearly dependent, so volumes approach
     zero; the score 1/(1 + mean volume) makes higher mean more dependent.
+    With `memo`, a joint point set already seen up to column sign reuses
+    its score.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -287,5 +324,8 @@ def volume_score(X: np.ndarray, y: np.ndarray) -> float:
     if n < d + 2:
         raise ValueError("need at least d + 2 observations")
     Z = _standardize(np.column_stack([X, y]))
-    vols = parallelepiped_volumes(Z)
-    return 1.0 / (1.0 + float(vols.mean()))
+    return _memoised(memo, "volume", Z, _mean_volume_score)
+
+
+def _mean_volume_score(Z: np.ndarray) -> float:
+    return 1.0 / (1.0 + float(parallelepiped_volumes(Z).mean()))

@@ -101,6 +101,30 @@ def det_cofactor(M):
     return total
 
 
+def volumes_bruteforce(Z):
+    """|det| of the differences from each row to the `dim` other rows first
+    in (squared distance, index) order, by cofactor expansion."""
+    Z = np.asarray(Z, dtype=float)
+    n, dim = Z.shape
+    vols = []
+    for i in range(n):
+        others = sorted((float(np.sum((Z[j] - Z[i]) ** 2)), j) for j in range(n) if j != i)
+        vols.append(abs(det_cofactor([Z[j] - Z[i] for _, j in others[:dim]])))
+    return np.array(vols)
+
+
+def point_set_key(Z):
+    """The columns of Z, each negated when its first entry is negative or
+    -0.0, as (shape, bytes) with every -0.0 written as 0.0: equal keys mean
+    the same points up to the sign of each column."""
+    Z = np.array(Z, dtype=float)
+    for j in range(Z.shape[1]):
+        if math.copysign(1.0, Z[0, j]) < 0:
+            Z[:, j] = -Z[:, j]
+    Z[Z == 0] = 0.0
+    return Z.shape, Z.tobytes()
+
+
 def nrmse_direct(y, yhat):
     num = sum((float(a) - float(b)) ** 2 for a, b in zip(y, yhat))
     den = sum(float(a) ** 2 for a in y)
@@ -231,7 +255,7 @@ def beam_levels_by_sorting(root, cfg):
     """The survivors of every beam level below the search node `root`: every
     child of the level is scored with `score_candidate`, all of them are
     sorted by (-score, n_vars, discovery order), and the first `beam_size`
-    are kept."""
+    are kept.  One memo serves every level, as in `search`."""
     from srsub.beamsearch import SearchNode, _candidates, score_candidate
     from srsub.depmeasure import compute_ranks
     from srsub.substitution import CANDIDATE_CAP
@@ -239,6 +263,7 @@ def beam_levels_by_sorting(root, cfg):
     levels = []
     beam = [root]
     seq = 0
+    memo = {}
     for depth in range(1, max(root.dataset.d - 1, 0) + 1):
         children = []
         for parent in beam:
@@ -248,11 +273,10 @@ def beam_levels_by_sorting(root, cfg):
                 ranks = compute_ranks(parent.dataset.y)
             except ValueError:
                 continue
-            nn_maps = {}
             for i, sub in enumerate(_candidates(parent.dataset.d, cfg)):
                 if i == CANDIDATE_CAP:
                     break
-                scored = score_candidate(parent, sub, cfg.measure, ranks, nn_maps)
+                scored = score_candidate(parent, sub, cfg.measure, ranks, memo)
                 if scored is not None:
                     seq += 1
                     children.append(SearchNode(dataset=scored[0], score=scored[1],

@@ -13,13 +13,14 @@ from srsub import (
     reconstruct,
     sample_problem,
     search,
+    to_text,
 )
 from srsub.beamsearch import SearchNode, _score_dataset, score_candidate, trace_records
 from srsub.bench import Problem
 from srsub.depmeasure import compute_ranks
 from srsub.substitution import apply_substitution, column_maps
 
-from oracles import beam_levels_by_sorting
+from oracles import beam_levels_by_sorting, point_set_key, standardize_columns
 from testdata import WASHBURN, positive_washburn_dataset
 
 
@@ -288,38 +289,40 @@ def test_shared_neighbor_maps_give_fresh_codec_scores(monkeypatch):
         assert score == codec(child.X, child.y)
 
 
-def test_neighbor_map_built_once_per_outinput_key(monkeypatch):
+def test_neighbor_map_built_once_per_point_set(monkeypatch):
     import srsub.depmeasure as dm
 
     # one-operator substitutions keep level-1 children at two columns, so
-    # level 2 expands several parents; zeros in x3 make y/x3 drop rows
+    # level 2 expands several parents; zeros in x3 make y/x3 drop rows, and
+    # x1-x2 and x2-x1 see one point set up to the sign of a column
     rng = np.random.default_rng(1)
     X = np.column_stack([rng.uniform(0.5, 2.0, 300), rng.uniform(0.5, 2.0, 300),
                          rng.uniform(-1.0, 2.0, 300)])
     X[::20, 2] = 0.0
     ds = Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2])
     cfg = BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0))
-    n_nn = [0]
+    nn_inputs = []
     nearest_neighbors_orig = dm.nearest_neighbors
 
-    def counting_nearest_neighbors(X):
-        n_nn[0] += 1
-        return nearest_neighbors_orig(X)
+    def recording_nearest_neighbors(Z):
+        nn_inputs.append(point_set_key(Z))
+        return nearest_neighbors_orig(Z)
 
-    monkeypatch.setattr(dm, "nearest_neighbors", counting_nearest_neighbors)
+    monkeypatch.setattr(dm, "nearest_neighbors", recording_nearest_neighbors)
     calls = _record_scoring(monkeypatch)
     search(ds, cfg)
-    n_root = sum(1 for _, sub, _, _ in calls if sub is None)
-    n_input = sum(1 for _, sub, _, _ in calls if isinstance(sub, InputSub))
-    outinput = [(parent, sub, child) for parent, sub, child, _ in calls
-                if isinstance(sub, OutInputSub)]
-    keys = {(id(parent), sub.I, child.origin_rows.tobytes()) for parent, sub, child in outinput}
-    assert n_root == 1 and n_input > 0
-    # several parents, repeated keys within them, and dropped rows among them
-    assert len({parent_id for parent_id, _, _ in keys}) > 1
-    assert len(keys) < len(outinput)
-    assert any(child.n < parent.dataset.n for parent, _, child in outinput)
-    assert n_nn[0] == n_root + n_input + len(keys)
+    standardized = [standardize_columns(child.X) for _, _, child, _ in calls]
+    keys = {point_set_key(Z) for Z in standardized}
+    children = [(parent, sub, child) for parent, sub, child, _ in calls if sub is not None]
+    assert {"x1-x2", "x2-x1"} <= {to_text(sub.g) for _, sub, _ in children
+                                  if isinstance(sub, InputSub)}
+    assert len({id(parent) for parent, _, _ in children}) > 1
+    assert any(child.n < parent.dataset.n for parent, _, child in children)
+    # some point sets reach the search under more than one column sign
+    assert len({Z.tobytes() for Z in standardized}) > len(keys)
+    # one call per distinct point set, the root's included, and none twice
+    assert len(nn_inputs) == len(set(nn_inputs)) < len(children)
+    assert set(nn_inputs) == keys
 
 
 def test_shared_neighbor_map_keyed_by_surviving_rows():
@@ -334,16 +337,16 @@ def test_shared_neighbor_map_keyed_by_surviving_rows():
     y[10:20] = 5.0
     ds = Dataset.from_arrays(X, y)
     root = SearchNode(dataset=ds, score=_score_dataset(ds, "codec"))
-    nn_maps = {}
+    memo = {}
     children = []
     for h in ("sqrt(x2)*x1", "sqrt(x1-x2)"):
         scored = score_candidate(root, OutInputSub(h=parse(h, arity=2), I=(0,)), "codec",
-                                 nn_maps=nn_maps)
+                                 memo=memo)
         assert scored is not None
         children.append(scored)
     (a, score_a), (b, score_b) = children
     assert a.n == b.n and not np.array_equal(a.origin_rows, b.origin_rows)
-    assert len(nn_maps) == 2
+    assert len(memo) == 2
     assert score_a == codec(a.X, a.y)
     assert score_b == codec(b.X, b.y)
 

@@ -401,3 +401,27 @@ def test_bundled_corpora_load():
     assert len(fey) == 30 and len(epo) == 30
     assert all(p.box is not None for p in fey)
     assert all(p.box is None for p in epo)
+
+
+# base and beam recovery floors of the dagsearch regressor over the d <= 3
+# problems, measured at seed 42; a change that gains raises them
+_DAGSEARCH_FLOORS = {"feynman-desk": (19, 4, 11), "eponymous-desk": (27, 7, 17)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("corpus", sorted(_DAGSEARCH_FLOORS))
+def test_dagsearch_recovery_floors(corpus):
+    problems = [p for p in load_corpus(corpus) if p.d <= 3]
+    n_problems, base_floor, beam_floor = _DAGSEARCH_FLOORS[corpus]
+    rep = run_benchmark(problems, BeamConfig(), RegressorSpec(kind="dagsearch"),
+                        NoiseLevel(0.0), seed=42, n_samples=1000,
+                        fit_models=True, workers=min(2, os.cpu_count() or 1))
+    for row in rep.rows:
+        print(f"{row['id']}: base {row.get('base_recovered')} beam {row.get('beam_recovered')}")
+    base = sum(bool(row.get("base_recovered")) for row in rep.rows)
+    beam = sum(bool(row.get("beam_recovered")) for row in rep.rows)
+    print(f"{corpus}: base {base}/{len(problems)}, beam {beam}/{len(problems)}, "
+          f"reduction rate {rep.aggregates['reduction_rate']:.3f}")
+    assert len(problems) == n_problems
+    assert [row["status"] for row in rep.rows] == ["ok"] * n_problems
+    assert base >= base_floor and beam >= beam_floor

@@ -21,6 +21,7 @@ from oracles import (
     kmac_direct,
     nn_bruteforce,
     ranks_quadratic,
+    volumes_bruteforce,
     xi_direct,
 )
 
@@ -269,6 +270,63 @@ def test_volume_matches_cofactor_determinant_oracle():
         picked = [j for j in idx[i] if j != i][:3]
         M = Z[picked] - Z[i]
         assert vols[i] == pytest.approx(abs(det_cofactor(M)), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape, n_duplicates", [((6, 6), 0), ((4, 4, 4), 0), ((5, 3), 4)])
+def test_volume_neighbors_tie_to_the_lowest_index(shape, n_duplicates):
+    # a shuffled integer grid: almost every row has several equidistant
+    # neighbors, which the k-d tree returns in its own traversal order; a
+    # duplicated row ties its own copy at distance 0
+    grid = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), -1)
+    Z = grid.reshape(-1, len(shape)).astype(float)
+    Z = Z[np.random.default_rng(5).permutation(len(Z))]
+    Z = np.vstack([Z, Z[:n_duplicates]])
+    want = volumes_bruteforce(Z)
+    assert parallelepiped_volumes(Z) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _signed_grid(draw):
+    """A small-integer grid with duplicate rows, a column sign vector and a
+    power-of-two factor."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 2, 30))
+    X = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4)):
+        X[j] = X[i]
+    signs = np.array(draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=d, max_size=d)))
+    return X, signs, 2.0 ** draw(st.integers(-20, 20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_signed_grid())
+def test_scores_see_points_up_to_column_sign_and_scale(case):
+    # the memo of neighbor_map and volume_score keys by the standardized
+    # points up to column sign; these identities make a hit equal a fresh call
+    X, signs, scale = case
+    Z = _standardize(X)
+    # bitwise but for the sign of zero: x - mean is +0.0 on either side
+    assert np.array_equal(_standardize(X * signs), Z * signs)
+    assert _standardize(X * scale).tobytes() == Z.tobytes()
+    assert np.array_equal(nearest_neighbors(Z * signs), nearest_neighbors(Z))
+    assert parallelepiped_volumes(Z * signs).tobytes() == parallelepiped_volumes(Z).tobytes()
+
+
+def test_memo_serves_sign_flipped_point_sets():
+    rng = np.random.default_rng(53)
+    X = rng.integers(0, 5, size=(60, 2)).astype(float)
+    y = X[:, 0] - X[:, 1] + rng.integers(0, 2, size=60)
+    memo = {}
+    nn = neighbor_map(X, memo)
+    assert neighbor_map(-X, memo) is nn
+    assert np.array_equal(nn, neighbor_map(-X))
+    vol = volume_score(X, y, memo)
+    assert volume_score(X * [1, -1], -y, memo) == vol == volume_score(X * [1, -1], -y)
+    assert len(memo) == 2
+    assert neighbor_map(X[:, ::-1], memo) is not nn  # a permutation is another key
+    assert len(memo) == 3
 
 
 def test_volume_score_orders_functional_above_noise():
