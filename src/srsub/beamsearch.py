@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterator, Optional
 
 from .dag import DagBuilder, ExprDag, compose, solve_for
@@ -69,6 +70,12 @@ class SearchNode:
     def n_vars(self) -> int:
         return self.dataset.d
 
+    @cached_property
+    def constant_output(self) -> bool:
+        """`near_constant` of the node's output, asked once and reused by
+        every child that shares that output."""
+        return near_constant(self.dataset.y)
+
     def path(self) -> list["SearchNode"]:
         """The nodes from the search root to this node."""
         return (self.parent.path() if self.parent is not None else []) + [self]
@@ -122,12 +129,16 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
         ds = apply_substitution(parent.dataset, sub)
     except TooFewRows:
         return None
-    if near_constant(ds.y):
+    # output untouched and no rows dropped: the child shares the parent's
+    # y, and with it the parent's ranks and constancy verdict.  A shared
+    # verdict is asked again only when it rejects, so that every rejection
+    # comes from a `near_constant` call, which is where perfbench's tracer
+    # reads its reason
+    same_y = ds.y is parent.dataset.y
+    if (not same_y or parent.constant_output) and near_constant(ds.y):
         return None
     if isinstance(sub, InputSub) and degenerate_column(ds.X[:, 0]):
         return None
-    # output untouched and no rows dropped: reuse the parent's ranks
-    same_y = isinstance(sub, InputSub) and ds.n == parent.dataset.n
     try:
         score = _score_dataset(ds, measure, parent_ranks if same_y else None, memo)
     except DegenerateY:
@@ -135,14 +146,17 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
     return ds, score
 
 
-def _candidates(d: int, cfg: BeamConfig) -> Iterator[Substitution]:
+@cache
+def _candidates(d: int, cfg: BeamConfig) -> tuple[Substitution, ...]:
+    """The candidates a d-column parent is searched with, in discovery
+    order and at most CANDIDATE_CAP of them; built once per process."""
     if cfg.grammar == "aifeynman":
-        yield from aifeynman_candidates(d)
-        return
-    if "input" in cfg.sub_types:
-        yield from gen_input_candidates(d, cfg.budget)
-    if "outinput" in cfg.sub_types:
-        yield from gen_outinput_candidates(d, cfg.budget)
+        subs = aifeynman_candidates(d)
+    else:
+        subs = itertools.chain(
+            gen_input_candidates(d, cfg.budget) if "input" in cfg.sub_types else (),
+            gen_outinput_candidates(d, cfg.budget) if "outinput" in cfg.sub_types else ())
+    return tuple(itertools.islice(subs, CANDIDATE_CAP))
 
 
 def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
@@ -156,7 +170,7 @@ def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
             parent_ranks = compute_ranks(parent.dataset.y)
         except ValueError:
             continue
-        for sub in itertools.islice(_candidates(parent.dataset.d, cfg), CANDIDATE_CAP):
+        for sub in _candidates(parent.dataset.d, cfg):
             scored = score_candidate(parent, sub, cfg.measure, parent_ranks, memo)
             if scored is not None:
                 ds, score = scored

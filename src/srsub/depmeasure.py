@@ -18,7 +18,7 @@ returns exactly what a fresh call would.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,31 +34,57 @@ class RankVectors:
 
     r[i] counts indices j with Y[j] <= Y[i]; l[i] counts indices j with
     Y[j] >= Y[i].  For distinct values r is a permutation of 1..n and
-    l = n + 1 - r.
+    l = n + 1 - r.  The sums codec needs from y alone are derived on
+    construction: `spread` = sum l(n - l), its denominator, and
+    `l_squares` = sum l^2.
     """
 
     r: np.ndarray
     l: np.ndarray
+    spread: int = field(init=False, repr=False, compare=False)
+    l_squares: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.l)
+        object.__setattr__(self, "spread", int((self.l * (n - self.l)).sum()))
+        object.__setattr__(self, "l_squares", int((self.l * self.l).sum()))
 
 
 def compute_ranks(y: np.ndarray) -> RankVectors:
-    """Exact <=/>=-counting ranks, ties included."""
+    """Exact <=/>=-counting ranks, ties included, from one stable argsort:
+    a run of equal sorted values shares r = the end of the run and
+    l = n - its start."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 2:
         raise ValueError("need at least two observations")
-    order = np.sort(y)
-    r = np.searchsorted(order, y, side="right").astype(np.int64)
-    l = (n - np.searchsorted(order, y, side="left")).astype(np.int64)
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    first = np.empty(n, dtype=bool)  # where a run of equal values starts
+    first[0] = True
+    np.not_equal(ys[1:], ys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    r = np.empty(n, dtype=np.int64)
+    l = np.empty(n, dtype=np.int64)
+    r[order] = np.append(starts[1:], n)[run]
+    l[order] = n - starts[run]
     return RankVectors(r=r, l=l)
 
 
 def _standardize(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (X - mean) / std
+    """Each column centred and divided by its population std (1 where that
+    is 0), as `(X - X.mean(0)) / X.std(0)` computes it bit for bit on a
+    C-ordered copy: the deviations are taken once and give the std too.
+    Working on C order keeps the column sums, and so the result, the same
+    whatever the caller's memory layout."""
+    X = np.ascontiguousarray(X, dtype=float)
+    n = len(X)
+    dev = X - X.sum(axis=0) / n
+    std = np.sqrt(np.square(dev).sum(axis=0) / n)
+    std[~(std > 0)] = 1.0
+    dev /= std
+    return dev
 
 
 def _memoised(memo: dict | None, kind: str, Z: np.ndarray, compute):
@@ -96,8 +122,14 @@ def nearest_neighbors(X: np.ndarray) -> np.ndarray:
     tree.  A neighbor whose squared distance is within relative 1e-12 (plus
     1e-300) of the nearest counts as a tie.  Ties (exact-duplicate points
     included) resolve to the lowest index; rows whose tie set may hold more
-    than one point, or extend past the query window, fall back to a
-    brute-force scan.
+    than one point fall back to a brute-force scan.
+
+    The tree's query window is three points.  A row is settled from it
+    when exactly one point in it other than the row lies within the tie
+    bound.  The row is then in the window (it drops out only behind three
+    coincident points, which all tie), so the window's far edge lies
+    outside the bound, and every point outside the window is at least as
+    far: the one point is the whole tie set.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -105,8 +137,7 @@ def nearest_neighbors(X: np.ndarray) -> np.ndarray:
         raise ValueError("need at least two rows")
     if d == 1:
         return _sorted_nn_1d(X)
-    k = min(n, 4)
-    dist, idx = cKDTree(X).query(X, k=k)
+    dist, idx = cKDTree(X).query(X, k=min(n, 3))
     rows = np.arange(n)
     valid = idx != rows[:, None]
     # distance to the closest non-self candidate
@@ -114,10 +145,7 @@ def nearest_neighbors(X: np.ndarray) -> np.ndarray:
     tol = _tie_tolerance(dmin)
     tie = valid & (dist <= tol[:, None])
     nu = np.where(tie, idx, n).min(axis=1).astype(np.int64)
-    # the window may hide an equidistant lower index when its far edge still
-    # touches the tie distance
-    unsure = (tie.sum(axis=1) > 1) | ((k < n) & (dist[:, -1] <= tol))
-    for i in np.flatnonzero(unsure):
+    for i in np.flatnonzero(tie.sum(axis=1) > 1):
         nu[i] = _brute_force_row(X, i)
     return nu
 
@@ -184,7 +212,7 @@ def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> float:
     order = np.argsort(x, kind="stable")
     ranks = compute_ranks(y[order])
     num = int(n) * int(np.abs(np.diff(ranks.r)).sum())
-    den = 2 * int((ranks.l * (n - ranks.l)).sum())
+    den = 2 * ranks.spread
     if den == 0:
         raise DegenerateY("constant output column")
     return 1.0 - num / den
@@ -214,18 +242,18 @@ def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
         raise ValueError("need at least three observations")
     if ranks is None:
         ranks = compute_ranks(y)
-    r, l = ranks.r, ranks.l
+    r = ranks.r
     nu = _neighbor_indices(X, n, nn)
-    den = int((l * (n - l)).sum())
+    den = ranks.spread
     if den == 0:
         raise DegenerateY("constant output column")
     r_nu = r[nu]
+    L = ranks.l_squares
     if form == "min":
-        num = int((n * np.minimum(r, r_nu) - l * l).sum())
+        num = n * int(np.minimum(r, r_nu).sum()) - L
     elif form == "rewritten":
         R = int(r.sum())
         S = int(r_nu.sum())
-        L = int((l * l).sum())
         twice = n * (R + S - int(np.abs(r - r_nu).sum())) - 2 * L
         return twice / (2 * den)
     else:

@@ -77,6 +77,10 @@ class Dataset:
     origin_rows holds the surviving rows' indices in the problem's full
     sample.  What the columns and the output mean, relative to the search
     root, is not stored: `column_maps` composes it from the node's path.
+
+    The arrays are read-only by convention: nothing in srsub writes into
+    them, since a child that keeps every row shares its parent's `y` (an
+    input substitution) and `origin_rows`.
     """
 
     X: np.ndarray
@@ -206,11 +210,14 @@ def _retained(d: int, I: Sequence[int]) -> list[int]:
     return [j for j in range(d) if j not in drop]
 
 
-def _finite_rows(values: np.ndarray) -> np.ndarray:
-    """The rows where a substitution's new values are finite; TooFewRows
-    when more than the limit are dropped."""
+def _finite_rows(values: np.ndarray) -> np.ndarray | None:
+    """The rows where a substitution's new values are finite, or None when
+    every row is; TooFewRows when more than the limit are dropped."""
     mask = np.isfinite(values)
-    frac = 1.0 - float(mask.mean())
+    kept = int(np.count_nonzero(mask))
+    if kept == len(mask):
+        return None
+    frac = 1.0 - kept / len(mask)
     if frac > MAX_ROW_DROP_FRACTION:
         raise TooFewRows(f"{frac:.1%} of rows dropped")
     return mask
@@ -220,7 +227,11 @@ def apply_substitution(ds: Dataset, sub: Substitution) -> Dataset:
     """The transformed dataset.  An input substitution puts the column
     g(x_I) before the retained columns; an out-input substitution replaces
     the output by h(x_I, y) and drops the I columns.  Rows where the new
-    values are non-finite are dropped."""
+    values are non-finite are dropped.
+
+    The child's X is always a new C-ordered array.  When no row is dropped
+    the child shares the parent's `origin_rows` and, for an input
+    substitution, its `y`; otherwise every array is a fresh copy."""
     if any(i >= ds.d for i in sub.I):
         raise ValueError("substitution indices outside dataset columns")
     keep = _retained(ds.d, sub.I)
@@ -233,7 +244,9 @@ def apply_substitution(ds: Dataset, sub: Substitution) -> Dataset:
             raise ValueError("out-input substitution must leave at least one input")
         y = evaluate(sub.h, np.column_stack([ds.X[:, sub.I], ds.y]))
         mask = _finite_rows(y)
-        X = ds.X[:, keep]
+        X = np.take(ds.X, keep, axis=1)
+    if mask is None:
+        return Dataset(X, y, ds.origin_rows)
     return Dataset(X[mask], y[mask], ds.origin_rows[mask])
 
 
@@ -257,9 +270,14 @@ def column_maps(d: int, subs: Iterable[Substitution]
 
 
 def near_constant(y: np.ndarray) -> bool:
-    """Transformed outputs whose sample spread is numerically negligible."""
+    """Transformed outputs whose sample spread is numerically negligible:
+    y.std() <= NEAR_CONSTANT_REL_STD * |y.mean()|, with the mean summed
+    once and the std taken from the same deviations, bit for bit as numpy
+    computes both."""
     y = np.asarray(y, dtype=float)
-    return float(y.std()) <= NEAR_CONSTANT_REL_STD * abs(float(y.mean()))
+    mean = y.sum() / len(y)
+    std = math.sqrt(np.square(y - mean).sum() / len(y))
+    return std <= NEAR_CONSTANT_REL_STD * abs(float(mean))
 
 
 def _quartile_bounds(n: int, q: float) -> tuple[int, int, float]:

@@ -123,6 +123,33 @@ def test_score_candidate_rejects_constant_output():
     assert rejected is None
 
 
+def test_near_constant_parent_rejects_each_input_child_by_a_call(monkeypatch):
+    # input children that keep every row share the parent's y and its
+    # verdict; each rejection still comes from a near_constant call that
+    # returns True, one per rejected child
+    import srsub.beamsearch as bs
+    from srsub.substitution import near_constant
+
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.5, 2.0, size=(100, 3))
+    ds = Dataset.from_arrays(X, 5.0 + 1e-13 * rng.uniform(size=100))
+    parent = SearchNode(dataset=ds, score=0.0)
+    verdicts = []
+
+    def spy(y):
+        verdicts.append(near_constant(y))
+        return verdicts[-1]
+
+    monkeypatch.setattr(bs, "near_constant", spy)
+    subs = [InputSub(g=parse(t), I=I) for t in ("x1*x2", "x1+x2") for I in ((0, 1), (1, 2))]
+    for sub in subs:
+        verdicts.clear()
+        assert score_candidate(parent, sub, "codec", compute_ranks(ds.y)) is None
+        assert verdicts[-1] is True
+    out = score_candidate(parent, OutInputSub(h=parse("x2-x1", arity=2), I=(0,)), "codec")
+    assert out is not None and out[0].y is not ds.y
+
+
 def test_root_score_participates():
     # a problem with no usable reduction: best node should be the root
     ds = _dataset_from("sin(x1*x2+x3)*exp(x1)", n=300)
@@ -404,3 +431,63 @@ def test_scores_equal_fresh_scores_under_every_measure(monkeypatch, measure):
     # ranks or neighbour maps
     for _, _, child, score in calls:
         assert score == _score_dataset(child, measure)
+
+
+def _pinned_search_dataset(which):
+    """x1*x2+x3 sampled at n = 300 (seed 5), or x1*x2+x3/x4 with 1 % noise."""
+    from srsub.bench import add_noise
+
+    if which == "x1*x2+x3":
+        return sample_problem(Problem(id="a", d=3, f_true=parse(which)), 300, seed=5)
+    ds = sample_problem(Problem(id="b", d=4, f_true=parse(which)), 300, seed=5)
+    return Dataset.from_arrays(ds.X, add_noise(ds.y, 0.01, 5))
+
+
+def _score_records(result):
+    return [[rec["substitution"], float(rec["score"]).hex()] for rec in trace_records(result)]
+
+
+@pytest.mark.parametrize("which, budget, measure, pin", [
+    ("x1*x2+x3", GrammarBudget(), "codec",
+     "b715f497313a09f52601461f21d74422f78674edd7784629f4f4e64343180982"),
+    ("x1*x2+x3", GrammarBudget(), "volume",
+     "8591447688dd6fafaf326fcdb2a54032a45cccd5d0f58b0796e0c9e74a73e1ca"),
+    ("x1*x2+x3/x4", GrammarBudget(max_intermediary_nodes=0), "codec",
+     "6d5e81f640deb643288f04d9c6a7db4ffd35b405ac374f77f3b59f32a8cfc2d2"),
+    ("x1*x2+x3/x4", GrammarBudget(max_intermediary_nodes=0), "volume",
+     "33828eeda4f48db406e6613dfd9465166211d0ecc625a8c92ab19d4790b30f79"),
+])
+def test_search_scores_are_pinned(which, budget, measure, pin):
+    # (substitution, score bits) of every surviving node, root first; a
+    # change to any kernel behind a score moves the digest
+    import hashlib
+    import json
+
+    result = search(_pinned_search_dataset(which),
+                    BeamConfig(beam_size=3, measure=measure, budget=budget))
+    records = json.dumps(_score_records(result)).encode()
+    assert hashlib.sha256(records).hexdigest() == pin
+
+
+@pytest.mark.parametrize("measure", ["codec", "volume"])
+def test_fortran_ordered_root_searches_like_c_ordered(measure):
+    ds = _pinned_search_dataset("x1*x2+x3/x4")
+    cfg = BeamConfig(beam_size=3, measure=measure,
+                     budget=GrammarBudget(max_intermediary_nodes=0))
+    fortran = Dataset.from_arrays(np.asfortranarray(ds.X), ds.y)
+    assert not fortran.X.flags.c_contiguous
+    assert trace_records(search(fortran, cfg)) == trace_records(search(ds, cfg))
+
+
+@pytest.mark.parametrize("measure", ["codec", "volume"])
+def test_search_writes_into_no_dataset_array(measure):
+    # children that keep every row share the root's y and origin_rows, so a
+    # write anywhere in the search would raise on these read-only arrays
+    ds = _pinned_search_dataset("x1*x2+x3")
+    before = [a.tobytes() for a in (ds.X, ds.y, ds.origin_rows)]
+    for a in (ds.X, ds.y, ds.origin_rows):
+        a.flags.writeable = False
+    result = search(ds, BeamConfig(beam_size=3, measure=measure))
+    assert any(node.dataset.origin_rows is ds.origin_rows
+               for level in result.all_levels for node in level)
+    assert [a.tobytes() for a in (ds.X, ds.y, ds.origin_rows)] == before

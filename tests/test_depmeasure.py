@@ -21,6 +21,7 @@ from oracles import (
     kmac_direct,
     nn_bruteforce,
     ranks_quadratic,
+    standardize_columns,
     volumes_bruteforce,
     xi_direct,
 )
@@ -46,6 +47,95 @@ def test_ranks_against_quadratic_oracle():
     r_o, l_o = ranks_quadratic(y)
     assert np.array_equal(rv.r, r_o)
     assert np.array_equal(rv.l, l_o)
+
+
+@st.composite
+def _tie_heavy_outputs(draw):
+    """Integer-valued outputs of 2 to 60 rows from a range of 1 to 11
+    values, so that most values repeat and some samples are all equal."""
+    n = draw(st.integers(2, 60))
+    width = draw(st.integers(0, 10))
+    values = draw(st.lists(st.integers(-width, width), min_size=n, max_size=n))
+    return np.array(values, dtype=float) * draw(st.sampled_from((1.0, -0.5, 1e-300, 1e300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_outputs())
+def test_ranks_match_quadratic_oracle_on_tie_heavy_outputs(y):
+    rv = compute_ranks(y)
+    r_o, l_o = ranks_quadratic(y)
+    assert rv.r.dtype == rv.l.dtype == np.int64
+    assert np.array_equal(rv.r, r_o) and np.array_equal(rv.l, l_o)
+    n = len(y)
+    assert rv.spread == sum(int(v) * (n - int(v)) for v in l_o)
+    assert rv.l_squares == sum(int(v) ** 2 for v in l_o)
+
+
+def test_ranks_of_two_and_of_all_equal_values():
+    for y, r, l in (([2.0, 1.0], [2, 1], [1, 2]), ([3.0] * 5, [5] * 5, [5] * 5)):
+        rv = compute_ranks(np.array(y))
+        assert rv.r.tolist() == r and rv.l.tolist() == l
+    assert compute_ranks(np.full(5, 3.0)).spread == 0
+
+
+@st.composite
+def _columns(draw):
+    """1 to 4 columns of 1 to 50 rows: continuous, integer-valued or
+    constant, each with its own scale and offset."""
+    n = draw(st.integers(1, 50))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("float", "int", "constant")))
+        if kind == "float":
+            col = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        elif kind == "int":
+            col = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+        else:
+            col = np.full(n, draw(st.floats(-1e3, 1e3)))
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        cols.append(col * scale + draw(st.floats(-1e3, 1e3)) * scale)
+    return np.column_stack(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns())
+def test_standardize_equals_oracle_bitwise_in_either_memory_order(X):
+    want = standardize_columns(X).tobytes()
+    assert _standardize(X).tobytes() == want
+    assert _standardize(np.asfortranarray(X)).tobytes() == want
+
+
+@st.composite
+def _three_point_window_cases(draw):
+    """Rows on a small grid in 2 or 3 columns, then a cluster of three or
+    more coincident rows and a row with two neighbours at one distance on
+    opposite sides; n = 3 makes the query window every row."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(3, 30))
+    X = np.array(draw(st.lists(st.integers(-4, 4), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d) * draw(st.sampled_from((1.0, 0.37, 1e3)))
+    if n >= 5 and draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=5, unique=True))
+        X[rows] = X[rows[0]]
+    if n >= 4 and draw(st.booleans()):
+        i, j, k = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        step = np.zeros(d)
+        step[draw(st.integers(0, d - 1))] = 0.25
+        X[j], X[k] = X[i] - step, X[i] + step
+    return X
+
+
+@settings(max_examples=300, deadline=None)
+@given(_three_point_window_cases())
+def test_nearest_neighbors_three_point_window_matches_bruteforce(X):
+    assert np.array_equal(nearest_neighbors(X), nn_bruteforce(X))
+
+
+def test_nearest_neighbors_three_rows_and_coincident_rows():
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])  # row 0: two at one distance
+    assert nearest_neighbors(X).tolist() == nn_bruteforce(X).tolist() == [1, 0, 0]
+    X = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [5.0, 0.0]])
+    assert nearest_neighbors(X).tolist() == nn_bruteforce(X).tolist() == [2, 0, 0, 0, 0, 0]
 
 
 def test_xi_monotone_closed_form():
@@ -327,6 +417,17 @@ def test_memo_serves_sign_flipped_point_sets():
     assert len(memo) == 2
     assert neighbor_map(X[:, ::-1], memo) is not nn  # a permutation is another key
     assert len(memo) == 3
+
+
+def test_memoised_scores_ignore_memory_order():
+    rng = np.random.default_rng(59)
+    X = rng.uniform(size=(80, 3))
+    y = X[:, 0] * X[:, 1] + X[:, 2]
+    fortran = np.asfortranarray(X)
+    assert neighbor_map(fortran, memo={}).tobytes() == neighbor_map(X, memo={}).tobytes()
+    assert volume_score(fortran, y, memo={}) == volume_score(X, y, memo={})
+    memo = {}
+    assert neighbor_map(fortran, memo) is neighbor_map(X, memo)
 
 
 def test_volume_score_orders_functional_above_noise():

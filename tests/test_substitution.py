@@ -160,6 +160,35 @@ def test_apply_input_too_many_drops():
         apply_substitution(ds, InputSub(g=parse("x1/x2"), I=(0, 1)))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("sub", [InputSub(g=parse("x1*x2"), I=(0, 2)),
+                                 OutInputSub(h=parse("x2-x1", arity=2), I=(1,))],
+                         ids=["input", "outinput"])
+def test_child_that_keeps_every_row_shares_the_parents_arrays(order, sub):
+    rng = np.random.default_rng(3)
+    X = np.asarray(rng.uniform(0.5, 2.0, size=(50, 3)), order=order)
+    ds = Dataset.from_arrays(X, X.sum(axis=1))
+    out = apply_substitution(ds, sub)
+    assert out.n == ds.n
+    assert out.origin_rows is ds.origin_rows
+    assert (out.y is ds.y) == isinstance(sub, InputSub)
+    assert out.X.flags.c_contiguous and not np.shares_memory(out.X, ds.X)
+    validate_dataset(out, ds, [sub])
+
+
+@pytest.mark.parametrize("sub", [InputSub(g=parse("x1/x2"), I=(0, 1)),
+                                 OutInputSub(h=parse("x2/x1", arity=2), I=(1,))],
+                         ids=["input", "outinput"])
+def test_child_that_drops_a_row_owns_fresh_arrays(sub):
+    X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0], [4.0, 4.0], [5.0, 8.0]])
+    ds = Dataset.from_arrays(X, np.arange(5.0) + 1)
+    out = apply_substitution(ds, sub)
+    assert out.n == 4
+    for child, parent in ((out.X, ds.X), (out.y, ds.y), (out.origin_rows, ds.origin_rows)):
+        assert not np.shares_memory(child, parent)
+    assert out.X.flags.c_contiguous
+
+
 def test_apply_outinput_composes_output_map():
     from testdata import positive_washburn_dataset
 
