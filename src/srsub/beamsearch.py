@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from typing import Iterator, Optional
 
 from .dag import DagBuilder, ExprDag, compose, solve_for
-from .depmeasure import chatterjee_xi, codec, compute_ranks, kmac, neighbor_map, volume_score
+from .depmeasure import RankVectors, chatterjee_xi, codec, compute_ranks, kmac, volume_score
 from .errors import DegenerateY, TooFewRows
 from .exprtext import to_text
 from .grammar import GrammarBudget
@@ -53,8 +53,12 @@ class BeamConfig:
         unknown = set(self.sub_types) - {"input", "outinput"}
         if unknown:
             raise ValueError(f"unknown substitution types: {sorted(unknown)}")
+        if not self.sub_types:
+            raise ValueError("sub_types must name at least one substitution type")
         if self.grammar not in ("dag", "aifeynman"):
             raise ValueError(f"unknown grammar {self.grammar!r}")
+        if self.grammar == "aifeynman" and "input" not in self.sub_types:
+            raise ValueError("the aifeynman grammar has input substitutions only")
 
 
 @dataclass
@@ -76,6 +80,12 @@ class SearchNode:
         every child that shares that output."""
         return near_constant(self.dataset.y)
 
+    @cached_property
+    def ranks(self) -> RankVectors:
+        """The ranks of the node's output, computed once and reused by every
+        child that shares that output."""
+        return compute_ranks(self.dataset.y)
+
     def path(self) -> list["SearchNode"]:
         """The nodes from the search root to this node."""
         return (self.parent.path() if self.parent is not None else []) + [self]
@@ -95,23 +105,21 @@ class SearchResult:
         return self.best_path[0]
 
 
-def _score_dataset(ds: Dataset, measure: str, y_ranks=None,
-                   memo: dict | None = None) -> float:
+def _score_dataset(ds: Dataset, measure: str, memo: dict | None = None,
+                   ranks: RankVectors | None = None) -> float:
     if measure == "volume":
         return volume_score(ds.X, ds.y, memo)
     # the univariate rank coefficient applies to one-column problems; its
     # multivariate generalization covers the rest
     if measure == "xi" and ds.d == 1:
         return chatterjee_xi(ds.X[:, 0], ds.y)
-    nn = neighbor_map(ds.X, memo)
     if measure == "kmac":
-        return kmac(ds.X, ds.y, nn=nn)
-    return codec(ds.X, ds.y, ranks=y_ranks, nn=nn)
+        return kmac(ds.X, ds.y, memo)
+    return codec(ds.X, ds.y, ranks=ranks, memo=memo)
 
 
 def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
-                    parent_ranks=None, memo: dict | None = None
-                    ) -> tuple[Dataset, float] | None:
+                    memo: dict | None = None) -> tuple[Dataset, float] | None:
     """Apply a substitution and score the transformed problem: the child
     dataset and its dependence score.
 
@@ -119,11 +127,12 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
     near-constant output, a resolution-collapsed input column, or a
     degenerate rank denominator.
 
-    `memo` is the dict `neighbor_map` and `volume_score` keep their results
-    in, keyed by the standardized point set up to column sign.  One dict
-    serves a whole search: children of any parent or level that see the
-    same points (x1-x2 and x2-x1, or an out-input child whose columns are
-    an earlier child's) share one neighbor map or one volume score.
+    `memo` is the dict the measure keeps its neighbor maps or volume scores
+    in, keyed by the standardized point set up to column sign; the measure
+    reads and fills it itself.  One dict serves a whole search: children of
+    any parent or level that see the same points (x1-x2 and x2-x1, or an
+    out-input child whose columns are an earlier child's) share one neighbor
+    map or one volume score.
     """
     try:
         ds = apply_substitution(parent.dataset, sub)
@@ -140,7 +149,7 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
     if isinstance(sub, InputSub) and degenerate_column(ds.X[:, 0]):
         return None
     try:
-        score = _score_dataset(ds, measure, parent_ranks if same_y else None, memo)
+        score = _score_dataset(ds, measure, memo, parent.ranks if same_y else None)
     except DegenerateY:
         return None
     return ds, score
@@ -166,12 +175,8 @@ def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
     for parent in beam:
         if parent.dataset.d <= 1:
             continue
-        try:
-            parent_ranks = compute_ranks(parent.dataset.y)
-        except ValueError:
-            continue
         for sub in _candidates(parent.dataset.d, cfg):
-            scored = score_candidate(parent, sub, cfg.measure, parent_ranks, memo)
+            scored = score_candidate(parent, sub, cfg.measure, memo)
             if scored is not None:
                 ds, score = scored
                 yield SearchNode(dataset=ds, score=score, parent=parent,

@@ -8,11 +8,12 @@ inputs: nearest-neighbor ties break to the lowest index, in the 1-NN map and
 in the volume's neighbor sets alike, and internal subsampling is strided, so
 repeated calls are bitwise reproducible.
 
-`neighbor_map` and `volume_score` take an optional memo, a dict the caller
-keeps for as long as it likes (the beam search keeps one per search).  Both
-key it by the standardized point set the measure sees, up to the sign of each
-column: negating a column changes no squared distance and no |det|, so a hit
-returns exactly what a fresh call would.
+`codec`, `kmac` and `volume_score` take an optional memo, a dict the caller
+keeps for as long as it likes (the beam search keeps one per search).  Each
+measure reads it itself: codec and kmac through `neighbor_map`, volume for its
+score.  Entries are keyed by the standardized point set the measure sees, up
+to the sign of each column: negating a column changes no squared distance and
+no |det|, so a hit returns exactly what a fresh call would.
 """
 
 from __future__ import annotations
@@ -105,9 +106,8 @@ def _memoised(memo: dict | None, kind: str, Z: np.ndarray, compute):
 def neighbor_map(X: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """1-NN indices of X after per-column standardization: the graph that
     codec and kmac score over, as `nearest_neighbors` returns it.  It depends
-    on X alone, so callers scoring several outputs against one design matrix
-    can build it once and pass it in.  With `memo`, a point set already seen
-    up to column sign (say x1-x2 after x2-x1) reuses its map."""
+    on X alone; with `memo`, a point set already seen up to column sign (say
+    x1-x2 after x2-x1) reuses its map."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -218,23 +218,22 @@ def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - num / den
 
 
-def _neighbor_indices(X: np.ndarray, n: int, nn: np.ndarray | None) -> np.ndarray:
-    nu = nn if nn is not None else neighbor_map(X)
+def _neighbor_indices(X: np.ndarray, n: int, memo: dict | None) -> np.ndarray:
+    nu = neighbor_map(X, memo)
     if len(nu) != n:
-        raise ValueError("neighbor map and output differ in length")
+        raise ValueError("inputs and output differ in length")
     return nu
 
 
 def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
           ranks: RankVectors | None = None,
-          nn: np.ndarray | None = None) -> float:
+          memo: dict | None = None) -> float:
     """Multivariate dependence via nearest-neighbor rank comparison.
 
     `form` selects between the direct minimum-based numerator and the
     algebraically rewritten numerator (n/2)(R + S - sum|r_i - r_nu(i)|) - L;
-    the two agree exactly.  `ranks` may carry precomputed ranks of y, and
-    `nn` the neighbor indices `neighbor_map(X)` returns; X is not read when
-    `nn` is given.
+    the two agree exactly.  `ranks` may carry precomputed ranks of y.  The
+    neighbor map comes from `neighbor_map(X, memo)`.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
@@ -243,7 +242,7 @@ def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
     if ranks is None:
         ranks = compute_ranks(y)
     r = ranks.r
-    nu = _neighbor_indices(X, n, nn)
+    nu = _neighbor_indices(X, n, memo)
     den = ranks.spread
     if den == 0:
         raise DegenerateY("constant output column")
@@ -278,20 +277,19 @@ def default_bandwidth(y: np.ndarray) -> float:
     raise DegenerateY("constant output column")
 
 
-def kmac(X: np.ndarray, y: np.ndarray, nn: np.ndarray | None = None) -> float:
+def kmac(X: np.ndarray, y: np.ndarray, memo: dict | None = None) -> float:
     """Kernel association over the 1-NN graph with a Gaussian RBF kernel.
 
     score = [mean_i k(y_i, y_nu(i)) - cross] / [k(0) - cross] where `cross`
     is the mean kernel value over distinct pairs (subsampled above 2000
-    rows).  `nn` may carry the neighbor indices `neighbor_map(X)` returns;
-    X is not read when it is given.
+    rows).  The neighbor map comes from `neighbor_map(X, memo)`.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     if n < 3:
         raise ValueError("need at least three observations")
     bandwidth = default_bandwidth(y)
-    nu = _neighbor_indices(X, n, nn)
+    nu = _neighbor_indices(X, n, memo)
     inv2bw2 = 1.0 / (2.0 * bandwidth * bandwidth)
     local = float(np.exp(-((y - y[nu]) ** 2) * inv2bw2).mean())
     ys = y

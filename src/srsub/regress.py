@@ -16,6 +16,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,9 @@ from .substitution import Dataset
 NONFINITE_PENALTY = 10.0
 # fit_dagsearch refines the constants of this many best skeletons
 REFINE_TOP = 200
+# fit_dagsearch's default skeleton budget: operator nodes and how many skeletons
+DAGSEARCH_NODES = 2
+DAGSEARCH_SKELETONS = 10_000
 # fit_poly fits every monomial of total degree up to this
 POLY_DEGREE = 2
 # fit_external stops the command after this many seconds
@@ -41,8 +45,8 @@ EXTERNAL_TIMEOUT_S = 60.0
 @dataclass(frozen=True)
 class RegressorSpec:
     kind: str = "poly"  # poly | dagsearch | external
-    max_intermediary_nodes: int = 2
-    max_skeletons: int = 10_000
+    max_intermediary_nodes: int = DAGSEARCH_NODES
+    max_skeletons: int = DAGSEARCH_SKELETONS
     command: str | None = None
 
     def __post_init__(self) -> None:
@@ -174,15 +178,10 @@ def fit_poly(ds: Dataset) -> ExprDag:
 # -- dag skeleton search ---------------------------------------------------------
 
 
-_skeleton_cache: dict[tuple, tuple[ExprDag, ...]] = {}
-
-
+@cache
 def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> tuple[ExprDag, ...]:
-    key = (arity, budget, cap)
-    if key not in _skeleton_cache:
-        gen = enumerate_dags(arity, budget)
-        _skeleton_cache[key] = tuple(itertools.islice(gen, cap))
-    return _skeleton_cache[key]
+    """The first `cap` skeletons of the grammar; built once per process."""
+    return tuple(itertools.islice(enumerate_dags(arity, budget), cap))
 
 
 def _fit_constants(f: Compiled, y: np.ndarray, total: float) -> tuple[np.ndarray, float]:
@@ -238,7 +237,7 @@ def _refine_constants(f: Compiled, y: np.ndarray, total: float, theta: np.ndarra
 
 
 def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
-                  max_skeletons: int = 10_000) -> ExprDag:
+                  max_skeletons: int = DAGSEARCH_SKELETONS) -> ExprDag:
     """Enumerate dag skeletons with constant placeholders, fit the constants,
     refine those of the `REFINE_TOP` best skeletons, and return the
     minimum-NRMSE expression (ties to lower complexity).
@@ -249,7 +248,7 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     if ds.n < 20:
         raise ValueError("need at least 20 rows")
     if budget is None:
-        budget = GrammarBudget(max_intermediary_nodes=2, allow_constants=True)
+        budget = GrammarBudget(max_intermediary_nodes=DAGSEARCH_NODES, allow_constants=True)
     X, y = ds.X, ds.y
     # one errstate for both passes; each skeleton is compiled once per pass,
     # and a first-pass program is dropped after its fit

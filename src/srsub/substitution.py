@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -114,9 +115,6 @@ class Dataset:
 # -- candidate generation -----------------------------------------------------
 
 
-_dag_cache: dict[tuple, tuple[ExprDag, ...]] = {}
-
-
 def _depends_on_all(canon: ExprDag) -> bool:
     """Whether `canon` reads and depends on every input; an inconclusive
     verdict counts as no."""
@@ -127,34 +125,30 @@ def _depends_on_all(canon: ExprDag) -> bool:
         return False
 
 
+@cache
 def input_candidate_dags(arity: int, budget: GrammarBudget) -> tuple[ExprDag, ...]:
     """Constant-free dags of the given arity that depend on all their inputs,
-    deduplicated by canonical form."""
-    key = ("input", arity, budget)
-    if key not in _dag_cache:
-        budget = replace(budget, allow_constants=False)
-        out: list[ExprDag] = []
-        seen: set[str] = set()
-        for dag in enumerate_dags(arity, budget):
-            canon = simplify(dag)
-            if canon.key in seen:
-                continue
-            seen.add(canon.key)
-            if _depends_on_all(canon):
-                out.append(canon)
-        _dag_cache[key] = tuple(out)
-    return _dag_cache[key]
+    deduplicated by canonical form; built once per process."""
+    out: list[ExprDag] = []
+    seen: set[str] = set()
+    for dag in enumerate_dags(arity, replace(budget, allow_constants=False)):
+        canon = simplify(dag)
+        if canon.key in seen:
+            continue
+        seen.add(canon.key)
+        if _depends_on_all(canon):
+            out.append(canon)
+    return tuple(out)
 
 
+@cache
 def outinput_candidate_dags(n_inputs: int, budget: GrammarBudget) -> tuple[ExprDag, ...]:
     """Dags over (x_1..x_nI, y) where y occurs once on an invertible path and
     the dag depends on y and on every input: the input candidates over
-    n_inputs + 1 columns whose last column lies on an invertible path."""
-    key = ("outinput", n_inputs, budget)
-    if key not in _dag_cache:
-        _dag_cache[key] = tuple(dag for dag in input_candidate_dags(n_inputs + 1, budget)
-                                if invertible_path(dag, n_inputs))
-    return _dag_cache[key]
+    n_inputs + 1 columns whose last column lies on an invertible path; built
+    once per process."""
+    return tuple(dag for dag in input_candidate_dags(n_inputs + 1, budget)
+                 if invertible_path(dag, n_inputs))
 
 
 def gen_input_candidates(d: int, budget: GrammarBudget) -> Iterator[InputSub]:

@@ -257,7 +257,6 @@ def beam_levels_by_sorting(root, cfg):
     sorted by (-score, n_vars, discovery order), and the first `beam_size`
     are kept.  One memo serves every level, as in `search`."""
     from srsub.beamsearch import SearchNode, _candidates, score_candidate
-    from srsub.depmeasure import compute_ranks
     from srsub.substitution import CANDIDATE_CAP
 
     levels = []
@@ -269,14 +268,10 @@ def beam_levels_by_sorting(root, cfg):
         for parent in beam:
             if parent.dataset.d <= 1:
                 continue
-            try:
-                ranks = compute_ranks(parent.dataset.y)
-            except ValueError:
-                continue
             for i, sub in enumerate(_candidates(parent.dataset.d, cfg)):
                 if i == CANDIDATE_CAP:
                     break
-                scored = score_candidate(parent, sub, cfg.measure, ranks, memo)
+                scored = score_candidate(parent, sub, cfg.measure, memo)
                 if scored is not None:
                     seq += 1
                     children.append(SearchNode(dataset=scored[0], score=scored[1],

@@ -140,6 +140,15 @@ def test_bench_smoke_corpus(tmp_path, capsys):
     assert out.with_suffix(".trace.jsonl").exists()
 
 
+def test_reduce_aifeynman_without_input_subs_is_data_error(tmp_path, capsys):
+    csv = _write_csv(tmp_path / "s.csv", "x1*x2+x3")
+    args = ["reduce", str(csv), "--grammar", "aifeynman", "--sub-types", "outinput",
+            "--out", str(tmp_path / "red")]
+    assert main(args) == 2
+    assert "the aifeynman grammar has input substitutions only" in capsys.readouterr().err
+    assert not (tmp_path / "red").exists()
+
+
 @pytest.mark.parametrize("flag", [["--holdout", "1.5"], ["--n", "0"]])
 def test_bench_invalid_setting_is_data_error(tmp_path, flag):
     corpus = tmp_path / "c.tsv"

@@ -240,12 +240,15 @@ def test_precomputed_neighbor_map_gives_identical_scores():
     for d in (1, 3):
         X = rng.uniform(size=(300, d))
         y = np.cos(3 * X[:, 0]) + 0.2 * rng.normal(size=300)
-        nn = neighbor_map(X)
-        assert codec(X, y, nn=nn) == codec(X, y)
-        assert codec(X, y, form="rewritten", nn=nn) == codec(X, y, form="rewritten")
-        assert kmac(X, y, nn=nn) == kmac(X, y)
+        memo = {}
+        assert codec(X, y, memo=memo) == codec(X, y)
+        assert codec(X, y, form="rewritten", memo=memo) == codec(X, y, form="rewritten")
+        assert kmac(X, y, memo) == kmac(X, y)
+        assert len(memo) == 1  # one neighbor map, built by the first call
     with pytest.raises(ValueError):
-        codec(X[:-1], y[:-1], nn=nn)
+        codec(X[:-1], y, memo={})
+    with pytest.raises(ValueError):
+        kmac(X, y[:-1])
 
 
 def test_codec_functional_vs_independent():

@@ -205,11 +205,11 @@ def test_default_skeleton_stream_unchanged(arity, length, digest):
     assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
 
 
-def test_skeleton_cache_keys_on_allow_constants(monkeypatch):
+def test_skeleton_cache_keys_on_allow_constants():
     from srsub.grammar import DEFAULT_OPS, enumerate_dags
     from srsub.regress import _skeletons
 
-    monkeypatch.setattr(regress, "_skeleton_cache", {})
+    _skeletons.cache_clear()
     plain = GrammarBudget(max_intermediary_nodes=0, allow_constants=False)
     with_constants = GrammarBudget(max_intermediary_nodes=0, allow_constants=True)
     assert len(_skeletons(1, plain, 100)) == 9

@@ -144,7 +144,8 @@ def _enumeration_queries(monkeypatch, budget):
         queries.append((asked[-1], expr, tuple(symbols), tuple(targets)))
         return verdict(expr, symbols, targets, fn=fn)
 
-    monkeypatch.setattr(substitution, "_dag_cache", {})
+    substitution.input_candidate_dags.cache_clear()
+    substitution.outinput_candidate_dags.cache_clear()
     monkeypatch.setattr(symbolic, "depends_on", asking)
     monkeypatch.setattr(symbolic, "independent_form", recording)
     for arity in (2, 3):
