@@ -82,8 +82,10 @@ class SearchNode:
 
     @cached_property
     def ranks(self) -> RankVectors:
-        """The ranks of the node's output, computed once and reused by every
-        child that shares that output."""
+        """The ranks of the node's output, computed once per output array:
+        a node that shares its parent's output reads its parent's ranks."""
+        if self.parent is not None and self.dataset.y is self.parent.dataset.y:
+            return self.parent.ranks
         return compute_ranks(self.dataset.y)
 
     def path(self) -> list["SearchNode"]:
@@ -194,11 +196,11 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     if root_ds.n < MIN_ROOT_ROWS:
         raise ValueError(f"need at least {MIN_ROOT_ROWS} rows, got {root_ds.n}")
     memo: dict = {}
+    root = SearchNode(dataset=root_ds, score=float("-inf"))
     try:
-        root_score = _score_dataset(root_ds, cfg.measure, memo=memo)
+        root.score = _score_dataset(root_ds, cfg.measure, memo, root.ranks)
     except DegenerateY:
-        root_score = float("-inf")
-    root = SearchNode(dataset=root_ds, score=root_score)
+        pass
 
     levels: list[list[SearchNode]] = []
     beam = [root]

@@ -10,12 +10,14 @@ Two functions walk a dag's nodes children first and build a value per node.
 `fold` is the general one: rebuilding (`DagBuilder.copy_from`), occurrence
 counts, the sympy form, the complexity measure and the printed text all go
 through it.  Numeric evaluation has its own walker, `Compiled`: a dag on a
-fixed design matrix as a function of its placeholder values.  Building it
+fixed design matrix as a `Program` of its placeholder values.  Building it
 computes every node that reads no placeholder and records which nodes do,
 so each call computes only those; a fold would recompute every node at every
-call of the dagsearch fit.  `evaluate` compiles and calls once; the
-dagsearch fit compiles a skeleton once and calls it at every constant vector
-it tries.
+call of the dagsearch fit.  `evaluate` compiles and calls once.  The
+dagsearch fit's first pass runs the programs of `regress.SkeletonTable`,
+which share each placeholder-free node across the whole skeleton stream and
+give `Compiled`'s values bit for bit; it compiles only the skeletons it
+refines, and calls each at every constant vector it tries.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ def _guarded_log(c):
 
 
 def _guarded_div(l, r):
-    return np.where(r != 0, l / r, np.nan)
+    q = l / r
+    # with no zero divisor, every quotient stands
+    nonzero = r.all() if isinstance(r, np.ndarray) else r != 0
+    return q if nonzero else np.where(r != 0, q, np.nan)
 
 
 def _square(c):
@@ -368,21 +373,54 @@ def _on_column(fn: Callable, n: int) -> Callable:
     return lambda first, *rest: fn(np.full(n, first), *rest)
 
 
-class Compiled:
-    """`dag` on a fixed (n, d) matrix `X`, as a function of its placeholders.
+class Program:
+    """Placeholder values in, a column out: the nodes of a dag that read a
+    placeholder, as steps over registers that hold every node's value.
 
-    Building it computes every node that reads no placeholder.  A call
-    `f(theta)` takes the placeholder values in `names` order, computes only
-    the nodes that read one, and returns the root as an n-array; entries
-    past the overflow guard (|v| > 1e150) are nan.  Each call overwrites the
-    values of the previous one.
+    A call `f(theta)` puts the values, in `names` order, into the
+    placeholders' registers, runs the steps in order and returns the root
+    register as an n-array; entries past the overflow guard (|v| > 1e150)
+    are nan.  The other registers hold values computed before the first
+    call.  Each call overwrites the values of the previous one.
+    """
 
-    Constant nodes stay scalars and broadcast in binary ops.  A unary op on
-    a constant, a binary op on two constants and a constant root get the
-    constant as an n-array, so every op computes on the same elements as it
-    would with a full constant column.  Domain violations yield non-finite
-    entries and never raise; the caller chooses the `np.errstate` that
-    building and calls run under.
+    def __init__(self, names: Sequence[str], regs: list,
+                 params: Sequence[tuple[int, int]],
+                 steps: Sequence[tuple[int, Callable, int, int | None]], root: int) -> None:
+        self.names = tuple(names)
+        self._regs = regs
+        # (register, position in theta) per placeholder, and (register, op,
+        # operand registers) per step, the second operand None for a unary op
+        self._params = params
+        self._steps = steps
+        self._root = root
+
+    def __call__(self, theta: Sequence[float]) -> np.ndarray:
+        regs = self._regs
+        for r, pos in self._params:
+            regs[r] = theta[pos]
+        for r, fn, a, b in self._steps:
+            regs[r] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+        out = regs[self._root]
+        magnitude = np.abs(out, dtype=float)
+        # a nan maximum fails the test too
+        if magnitude.max(initial=0.0) <= _OVERFLOW_GUARD:
+            magnitude[...] = out
+            return magnitude
+        return np.where(magnitude <= _OVERFLOW_GUARD, out, np.nan)
+
+
+class Compiled(Program):
+    """`dag` on a fixed (n, d) matrix `X`, as the `Program` of its
+    placeholders: building it computes every node that reads no
+    placeholder, and a call computes only the nodes that read one.
+
+    Registers are node ids.  Constant nodes stay scalars and broadcast in
+    binary ops.  A unary op on a constant, a binary op on two constants and
+    a constant root get the constant as an n-array, so every op computes on
+    the same elements as it would with a full constant column.  Domain
+    violations yield non-finite entries and never raise; the caller chooses
+    the `np.errstate` that building and calls run under.
     """
 
     def __init__(self, dag: ExprDag, X: np.ndarray, names: Sequence[str]) -> None:
@@ -392,16 +430,13 @@ class Compiled:
         if X.shape[1] < dag.arity:
             raise ValueError(f"dag arity {dag.arity} exceeds data dimension {X.shape[1]}")
         n = X.shape[0]
-        self.names = tuple(names)
-        position = {name: i for i, name in enumerate(self.names)}
+        position = {name: i for i, name in enumerate(names)}
         nodes = dag.nodes
         # while building, a node's value is None exactly when it reads a
         # placeholder
         vals: list = []
-        # (node id, position in theta) and (node id, op, operand ids) of
-        # the nodes each call computes, in node order
-        self._params: list[tuple[int, int]] = []
-        self._steps: list[tuple[int, Callable, int, int | None]] = []
+        params: list[tuple[int, int]] = []
+        steps: list[tuple[int, Callable, int, int | None]] = []
         for nid, node in enumerate(nodes):
             if isinstance(node, Var):
                 vals.append(X[:, node.index])
@@ -410,7 +445,7 @@ class Compiled:
                 if node.is_placeholder:
                     if node.name not in position:
                         raise ValueError(f"unbound placeholder {node.name!r}")
-                    self._params.append((nid, position[node.name]))
+                    params.append((nid, position[node.name]))
                     vals.append(None)
                 else:
                     vals.append(node.value)
@@ -425,24 +460,17 @@ class Compiled:
                 if isinstance(nodes[a], Const) and isinstance(nodes[b], Const):
                     fn = _on_column(fn, n)
             if vals[a] is None or (b is not None and vals[b] is None):
-                self._steps.append((nid, fn, a, b))
+                steps.append((nid, fn, a, b))
                 vals.append(None)
             else:
                 vals.append(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
-        self._vals = vals
-        self._root = dag.root
-        self._n_root = n if isinstance(nodes[dag.root], Const) else None
-
-    def __call__(self, theta: Sequence[float]) -> np.ndarray:
-        vals = self._vals
-        for nid, pos in self._params:
-            vals[nid] = theta[pos]
-        for nid, fn, a, b in self._steps:
-            vals[nid] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
-        out = vals[self._root]
-        if self._n_root is not None:
-            out = np.full(self._n_root, out)
-        return np.where(np.abs(out) <= _OVERFLOW_GUARD, out, np.nan)
+        root = dag.root
+        if isinstance(nodes[root], Const):
+            # one more register: the constant spread to a column
+            steps.append((len(vals), _on_column(lambda column: column, n), root, None))
+            root = len(vals)
+            vals.append(None)
+        super().__init__(names, vals, params, steps, root)
 
 
 def evaluate(dag: ExprDag, X: np.ndarray, params: dict[str, float] | None = None) -> np.ndarray:

@@ -4,6 +4,15 @@ Three backends: least-squares polynomial regression up to a degree bound, a
 skeleton-enumeration regressor that reuses the dag grammar with fitted
 constant placeholders, and a subprocess bridge that feeds CSV to an external
 command and parses one expression line from its stdout.
+
+The skeleton regressor reads its stream from one `SkeletonTable` per
+(arity, budget, cap), built once per process.  The table interns every
+placeholder-free node of the stream once, so a fit computes each of them
+once, when the stream first reads it, and drops it after its last reader.
+Each skeleton's program then computes only its placeholder-reading nodes
+for the first-pass fit of its constants.  The best `REFINE_TOP` are rebuilt
+as `ExprDag`s, compiled, and refined by `minimize`, a Nelder-Mead that takes
+scipy's exact steps.
 """
 
 from __future__ import annotations
@@ -15,15 +24,16 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .beamsearch import SearchResult, reconstruct
-from .dag import Compiled, DagBuilder, ExprDag, bind_placeholders, evaluate
+from .dag import (OPS, Compiled, Const, DagBuilder, ExprDag, Program, Unary, Var, bind_placeholders,
+                  evaluate)
 from .errors import DegenerateY, ExternalFailure, IllConditionedWarning, NotSolvable
 from .exprtext import parse
 from .grammar import GrammarBudget, enumerate_dags
@@ -100,7 +110,8 @@ def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float) -> float:
         scale = float(np.max(np.abs(y)))
         y, yhat = y / scale, yhat / scale
         total = float(np.add.reduce(y * y))
-    sq = (y - yhat) ** 2
+    sq = y - yhat
+    sq *= sq
     err = np.add.reduce(sq)
     # a finite sum has only finite terms; a non-finite one has a non-finite
     # term or overflowed
@@ -109,7 +120,7 @@ def _nrmse(y: np.ndarray, yhat: np.ndarray, total: float) -> float:
         if not finite.all():
             err = np.add.reduce(np.where(finite, sq, NONFINITE_PENALTY * NONFINITE_PENALTY
                                          * total / len(y)))
-    return float(np.sqrt(err / total))
+    return math.sqrt(err / total)
 
 
 # -- polynomial regression -----------------------------------------------------
@@ -178,14 +189,217 @@ def fit_poly(ds: Dataset) -> ExprDag:
 # -- dag skeleton search ---------------------------------------------------------
 
 
+# node codes of a skeleton table: an operator's position in OPS, or a leaf
+_OP_NAMES = tuple(OPS)
+_OP_CODES = {name: code for code, name in enumerate(_OP_NAMES)}
+_OP_FNS = tuple(OPS[name].numpy for name in _OP_NAMES)
+_BINARY = tuple(OPS[name].arity == 2 for name in _OP_NAMES)
+_VAR = len(_OP_NAMES)
+_PARAM = _VAR + 1
+
+
+class SkeletonTable(Sequence):
+    """A skeleton stream as flat integer arrays that do not depend on X.
+
+    As a sequence it is the stream of `ExprDag`s, each rebuilt when it is
+    read.  Per node of each skeleton, in storage order, it keeps a code (an
+    op, `_VAR` or `_PARAM`), two operands (a variable index or child
+    positions) and the node's id in the stream's table of placeholder-free
+    nodes, or -1 for a node that reads a placeholder.  That table interns
+    each placeholder-free node once across the stream: ids below the arity
+    are the variables, and every later id is an op over smaller ids.
+    `programs(X)` computes each of them once, in the order the stream first
+    reads them.
+
+    A skeleton is what `enumerate_dags` yields: variables, placeholders
+    named c0, c1, ... in storage order, and ops whose root is the last node;
+    a placeholder is only ever a binary op's operand beside a non-constant,
+    so `Compiled` spreads no constant to a column for it.
+    """
+
+    def __init__(self, dags: Iterable[ExprDag], arity: int) -> None:
+        self.arity = arity
+        code, left, right, ids = array("B"), array("H"), array("H"), array("i")
+        starts = array("i", [0])
+        # the placeholder-free nodes: code and operand ids, the variables first
+        free_code = array("B", [_VAR] * arity)
+        free_left, free_right = array("i", range(arity)), array("i", [-1] * arity)
+        interned: dict[tuple[int, int, int], int] = {}
+        # per placeholder-free node, the first and the last skeleton that
+        # reads it
+        first, last = [-1] * arity, [-1] * arity
+
+        def read(g: int, pos: int) -> None:
+            if first[g] < 0:
+                first[g] = pos
+            last[g] = pos
+
+        for pos, dag in enumerate(dags):
+            if dag.arity != arity or dag.root != len(dag.nodes) - 1:
+                raise ValueError("not a skeleton of this stream")
+            base = len(ids)
+            n_params = 0
+            for node in dag.nodes:
+                kind = type(node)
+                if kind is Var:
+                    c, a, b, gid = _VAR, node.index, 0, node.index
+                elif kind is Const:
+                    if node.value is not None or node.name != f"c{n_params}":
+                        raise ValueError("a skeleton's constants are placeholders c0, c1, ... "
+                                         "in storage order")
+                    c, a, b, gid = _PARAM, 0, 0, -1
+                    n_params += 1
+                else:
+                    c = _OP_CODES[node.op]
+                    if kind is Unary:
+                        a, b = node.child, 0
+                        ga, gb = ids[base + a], -1
+                        if code[base + a] == _PARAM:
+                            raise ValueError("a unary op on a placeholder")
+                    else:
+                        a, b = node.left, node.right
+                        ga, gb = ids[base + a], ids[base + b]
+                        if code[base + a] == _PARAM and code[base + b] == _PARAM:
+                            raise ValueError("a binary op on two placeholders")
+                    if ga >= 0 and (gb >= 0 or kind is Unary):
+                        key = (c, ga, gb)
+                        gid = interned.get(key, -1)
+                        if gid < 0:
+                            gid = interned[key] = len(free_code)
+                            free_code.append(c)
+                            free_left.append(ga)
+                            free_right.append(gb)
+                            first.append(-1)
+                            last.append(-1)
+                    else:
+                        # a placeholder-reading step reads its other operands
+                        gid = -1
+                        for g in (ga, gb):
+                            if g >= 0:
+                                read(g, pos)
+                code.append(c)
+                left.append(a)
+                right.append(b)
+                ids.append(gid)
+            if ids[-1] >= 0:  # a constant-free skeleton reads its root
+                read(ids[-1], pos)
+            starts.append(len(ids))
+        self._code, self._left, self._right, self._ids = code, left, right, ids
+        self._starts = starts
+        self._free = (free_code, free_left, free_right)
+        # a node is computed when its first reader needs it and dropped
+        # after its last reader; a parent, whose id is larger, reads its
+        # operands when it is computed
+        for g in range(len(free_code) - 1, arity - 1, -1):
+            for child in (free_left[g], free_right[g]):
+                if child >= arity:
+                    if first[child] < 0 or first[g] < first[child]:
+                        first[child] = first[g]
+                    last[child] = max(last[child], first[g])
+        count = len(starts) - 1
+        self._compute = _grouped(first[arity:], arity, count)
+        self._drop = _grouped(last[arity:], arity, count)
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, index: int | slice) -> ExprDag | list[ExprDag]:
+        if isinstance(index, slice):
+            return [self[pos] for pos in range(*index.indices(len(self)))]
+        pos = range(len(self))[index]
+        # the nodes were built canonically, so a builder adds them unchanged
+        builder = DagBuilder()
+        nids: list[int] = []
+        n_params = 0
+        for i in range(self._starts[pos], self._starts[pos + 1]):
+            c, a, b = self._code[i], self._left[i], self._right[i]
+            if c == _VAR:
+                nids.append(builder.var(a))
+            elif c == _PARAM:
+                nids.append(builder.param(f"c{n_params}"))
+                n_params += 1
+            elif _BINARY[c]:
+                nids.append(builder.binary(_OP_NAMES[c], nids[a], nids[b]))
+            else:
+                nids.append(builder.unary(_OP_NAMES[c], nids[a]))
+        return builder.extract(nids[-1], self.arity)
+
+    def programs(self, X: np.ndarray) -> Iterator[Program]:
+        """Each skeleton on the (n, d) matrix `X`, d >= the arity, as a
+        function of its placeholders, in stream order: `Compiled`'s values,
+        bit for bit.
+
+        A program is valid until the next one is drawn: every
+        placeholder-free node is computed before its first reader is
+        yielded and dropped once its last reader is done.  Call it under
+        the `np.errstate` the values should be computed with.
+        """
+        X = np.asarray(X, dtype=float)
+        free_code, free_left, free_right = self._free
+        vals: list = [X[:, i] for i in range(self.arity)]
+        vals += [None] * (len(free_code) - self.arity)
+        compute, compute_starts = self._compute
+        drop, drop_starts = self._drop
+        code, left, right, ids = self._code, self._left, self._right, self._ids
+        starts = self._starts
+        for pos in range(len(starts) - 1):
+            for j in range(compute_starts[pos], compute_starts[pos + 1]):
+                g = compute[j]
+                c, a, b = free_code[g], free_left[g], free_right[g]
+                vals[g] = _OP_FNS[c](vals[a], vals[b]) if _BINARY[c] else _OP_FNS[c](vals[a])
+            lo, hi = starts[pos], starts[pos + 1]
+            root = ids[hi - 1]
+            if root >= 0:
+                yield Program((), [vals[root]], (), (), 0)
+            else:
+                regs: list = [None] * (hi - lo)
+                params = []
+                steps = []
+                for i in range(lo, hi):
+                    if ids[i] >= 0:
+                        continue
+                    c = code[i]
+                    if c == _PARAM:
+                        params.append((i - lo, len(params)))
+                        continue
+                    a, b = left[i], right[i]
+                    if ids[lo + a] >= 0:
+                        regs[a] = vals[ids[lo + a]]
+                    if not _BINARY[c]:
+                        b = None
+                    elif ids[lo + b] >= 0:
+                        regs[b] = vals[ids[lo + b]]
+                    steps.append((i - lo, _OP_FNS[c], a, b))
+                names = [f"c{j}" for j in range(len(params))]
+                yield Program(names, regs, params, steps, hi - lo - 1)
+            for j in range(drop_starts[pos], drop_starts[pos + 1]):
+                vals[drop[j]] = None
+
+
+def _grouped(owner: list[int], offset: int, count: int) -> tuple[array, array]:
+    """The ids `offset + i`, grouped by `owner[i]` in 0..count-1 and ascending
+    within a group, and the start of each group: (ids, starts)."""
+    sizes = [0] * (count + 1)
+    for o in owner:
+        sizes[o + 1] += 1
+    starts = array("i", itertools.accumulate(sizes))
+    fill = list(starts[:-1])
+    ids = array("i", [0]) * len(owner)
+    for i, o in enumerate(owner):
+        ids[fill[o]] = offset + i
+        fill[o] += 1
+    return ids, starts
+
+
 @cache
-def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> tuple[ExprDag, ...]:
-    """The first `cap` skeletons of the grammar; built once per process."""
-    return tuple(itertools.islice(enumerate_dags(arity, budget), cap))
+def _skeletons(arity: int, budget: GrammarBudget, cap: int) -> SkeletonTable:
+    """The first `cap` skeletons of the grammar as one table; built once
+    per process."""
+    return SkeletonTable(itertools.islice(enumerate_dags(arity, budget), cap), arity)
 
 
-def _fit_constants(f: Compiled, y: np.ndarray, total: float) -> tuple[np.ndarray, float]:
-    """Fit the placeholders of the compiled skeleton `f` by one
+def _fit_constants(f: Program, y: np.ndarray, total: float) -> tuple[np.ndarray, float]:
+    """Fit the placeholders of the skeleton program `f` by one
     finite-difference Gauss-Newton step from 1.0; (theta, error), where
     theta stays at 1.0 unless the step lowers the error.
 
@@ -212,25 +426,125 @@ def _fit_constants(f: Compiled, y: np.ndarray, total: float) -> tuple[np.ndarray
         step, *_ = np.linalg.lstsq(J, y - pred0, rcond=None)
         cand = theta + step
         val = _nrmse(y, f(cand), total)
-        if np.isfinite(val) and val < best:
+        if math.isfinite(val) and val < best:
             theta, best = cand, val
     except (ValueError, FloatingPointError):
         pass
     return theta, best
 
 
+# Nelder-Mead as scipy 1.17 runs it with method="Nelder-Mead" and options
+# {"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12}: reflection, expansion,
+# contraction and shrink coefficients, the start simplex's relative and
+# absolute steps, and no cap on evaluations
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+REFINE_MAXITER = 200
+REFINE_XATOL = 1e-10
+REFINE_FATOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Minimum:
+    """Where `minimize` stopped: the best vertex, its value (nan if any
+    vertex's value is nan) and how many times the objective was called."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun: Callable[[list[float]], float], x0: Sequence[float]) -> Minimum:
+    """Nelder-Mead from `x0`, step for step and bit for bit the simplex
+    scipy 1.17 walks with the settings above.
+
+    `fun` takes a list of floats, which it must leave as it is.  The
+    arithmetic is scipy's, done on Python floats, which round as numpy's
+    float64 does; the vertices are ordered by `np.argsort` after every
+    iteration, as scipy orders them, so equal values keep scipy's order too
+    (numpy's sort is not stable).
+    """
+    start = np.asarray(x0, dtype=float).reshape(-1).tolist()
+    n = len(start)
+    sim = [start]
+    for k in range(n):
+        vertex = list(start)
+        vertex[k] = (1 + _NONZDELT) * vertex[k] if vertex[k] != 0 else _ZDELT
+        sim.append(vertex)
+    fsim = [float(fun(vertex)) for vertex in sim]
+    nfev = n + 1
+    # scipy orders the start simplex twice
+    for _ in range(2):
+        sim, fsim = _ordered(sim, fsim)
+
+    iterations = 1
+    while iterations < REFINE_MAXITER:
+        best, worst = sim[0], sim[-1]
+        if all(abs(v - b) <= REFINE_XATOL for vertex in sim[1:] for v, b in zip(vertex, best)) \
+                and all(abs(fsim[0] - f) <= REFINE_FATOL for f in fsim[1:]):
+            break
+        xbar = []
+        for j in range(n):
+            total = 0.0
+            for vertex in sim[:-1]:
+                total += vertex[j]
+            xbar.append(total / n)
+        xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
+        fxr = float(fun(xr))
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
+            fxe = float(fun(xe))
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            # outside contraction
+            xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst)]
+            fxc = float(fun(xc))
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            # inside contraction
+            xcc = [(1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
+            fxcc = float(fun(xcc))
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [b + _SIGMA * (v - b) for v, b in zip(sim[j], best)]
+                fsim[j] = float(fun(sim[j]))
+                nfev += 1
+        iterations += 1
+        sim, fsim = _ordered(sim, fsim)
+    return Minimum(np.array(sim[0]), np.array(fsim).min(), nfev)
+
+
+def _ordered(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
+    """The vertices and their values in `np.argsort` order of the values."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
 def _refine_constants(f: Compiled, y: np.ndarray, total: float, theta: np.ndarray,
                       best: float) -> tuple[np.ndarray, float]:
-    """Bounded Nelder-Mead over the placeholders of the compiled skeleton
-    `f` from `_fit_constants`' (theta, best); the simplex result replaces
-    them only when its error is lower.  Call it under
+    """Nelder-Mead (`minimize`) over the placeholders of the compiled
+    skeleton `f` from `_fit_constants`' (theta, best); the simplex result
+    replaces them only when its error is lower.  Call it under
     `np.errstate(all="ignore")`."""
 
-    def objective(t: np.ndarray) -> float:
+    def objective(t: list[float]) -> float:
         return _nrmse(y, f(t), total)
 
-    res = minimize(objective, theta, method="Nelder-Mead",
-                   options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
+    res = minimize(objective, theta)
     if np.isfinite(res.fun) and res.fun < best:
         return res.x, float(res.fun)
     return theta, best
@@ -250,8 +564,9 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
     if budget is None:
         budget = GrammarBudget(max_intermediary_nodes=DAGSEARCH_NODES, allow_constants=True)
     X, y = ds.X, ds.y
-    # one errstate for both passes; each skeleton is compiled once per pass,
-    # and a first-pass program is dropped after its fit
+    # one errstate for both passes.  The first pass runs each skeleton's
+    # program over the table's shared placeholder-free values and drops it
+    # after its fit; the refined skeletons are rebuilt and compiled
     with np.errstate(all="ignore"):
         total = float(np.add.reduce(y * y))
         b = DagBuilder()
@@ -263,12 +578,11 @@ def fit_dagsearch(ds: Dataset, budget: GrammarBudget | None = None,
 
         # (error, skeleton position, fitted constants or None without placeholders)
         candidates: list[tuple[float, int, np.ndarray | None]] = []
-        for pos, skel in enumerate(skeletons):
-            names = skel.placeholders()
-            if not names:
-                candidates.append((_nrmse(y, Compiled(skel, X, names)(()), total), pos, None))
+        for pos, program in enumerate(skeletons.programs(X)):
+            if not program.names:
+                candidates.append((_nrmse(y, program(()), total), pos, None))
             else:
-                theta, err = _fit_constants(Compiled(skel, X, names), y, total)
+                theta, err = _fit_constants(program, y, total)
                 candidates.append((err, pos, theta))
 
         candidates.sort(key=lambda item: (item[0], item[1]))

@@ -131,6 +131,20 @@ def nrmse_direct(y, yhat):
     return math.sqrt(num / den)
 
 
+# -- the simplex refine ---------------------------------------------------------
+
+
+def nelder_mead_scipy(fun, x0):
+    """scipy's own Nelder-Mead with the options the dagsearch refine uses;
+    the reference that `regress.minimize` reproduces.  `fun` gets an array."""
+    from scipy.optimize import minimize
+
+    # values of inf make scipy's convergence test subtract inf from inf
+    with np.errstate(invalid="ignore"):
+        return minimize(fun, x0, method="Nelder-Mead",
+                        options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
+
+
 # -- node-by-node evaluation ------------------------------------------------------
 
 

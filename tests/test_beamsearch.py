@@ -312,6 +312,48 @@ def test_node_ranks_computed_once_on_first_use(monkeypatch):
     assert 0 < len(ranked) <= 1 + sum(len(level) for level in result.all_levels)
 
 
+def test_each_output_array_ranked_once(monkeypatch):
+    # a node that keeps its parent's y reads its parent's ranks, and the
+    # root's codec score is taken with the root's ranks, so the nodes rank
+    # every distinct output array once and the root's y is ranked once in all
+    import srsub.beamsearch as bs
+    import srsub.depmeasure as dm
+
+    by_nodes, by_scores = [], []
+
+    def counting(into):
+        def ranks(y):
+            into.append(y)
+            return compute_ranks(y)
+        return ranks
+
+    monkeypatch.setattr(bs, "compute_ranks", counting(by_nodes))
+    monkeypatch.setattr(dm, "compute_ranks", counting(by_scores))
+    ds = _dataset_from("x1*x2+x3")
+    result = search(ds, BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0)))
+    assert len({id(y) for y in by_nodes}) == len(by_nodes) >= 2
+    assert [y for y in by_nodes + by_scores if y is ds.y] == [ds.y]
+    # the shared ranks are the ranks of the shared array, and the scores
+    # are those of a search whose root ranks its y inside codec
+    for level in result.all_levels:
+        for node in level:
+            assert np.array_equal(node.ranks.r, compute_ranks(node.dataset.y).r)
+    monkeypatch.setattr(bs, "SearchNode", _NodeRankingItsOwnOutput)
+    unshared = search(ds, BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0)))
+    scores = [[node.score for node in level] for level in result.all_levels]
+    assert result.root.score == unshared.root.score
+    assert scores == [[node.score for node in level] for level in unshared.all_levels]
+
+
+class _NodeRankingItsOwnOutput(SearchNode):
+    """A search node that ranks its own output, as nodes did before they
+    read their parent's ranks."""
+
+    @property
+    def ranks(self):
+        return compute_ranks(self.dataset.y)
+
+
 def _washburn_first_pick(seed: int, split_first: bool) -> float:
     """The reduction rate of a beam-1 codec search on the Washburn sample
     at `seed` (n = 1000), with or without its test rows dropped first."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srsub import GrammarBudget, RegressorSpec, evaluate, parse, solve_for, to_text
-from srsub.dag import DagBuilder, bind_placeholders, invertible_path, sample_finite
+from srsub.dag import Compiled, DagBuilder, bind_placeholders, invertible_path, sample_finite
 from srsub.errors import NotSolvable, UnsupportedExpression
 from srsub.exprtext import _tokenize
 from srsub.regress import _skeletons
@@ -92,6 +92,30 @@ def test_evaluate_bitwise_equal_to_nodewise_on_dagsearch_skeletons(arity):
         want = evaluate_nodewise(skel, X, params)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), skel
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_skeleton_table_programs_bitwise_equal_to_compiled(arity):
+    # every default skeleton's table program, reading the shared
+    # placeholder-free values, against the skeleton compiled on its own;
+    # twice per program, since a call overwrites the last one's values
+    spec = RegressorSpec(kind="dagsearch")
+    budget = GrammarBudget(spec.max_intermediary_nodes, allow_constants=True)
+    table = _skeletons(arity, budget, spec.max_skeletons)
+    rng = np.random.default_rng(arity)
+    X = _guard_inputs(arity, rng)
+    pool = (0.0, 1.0, -1.0, 1e155, 1e-200)
+    with np.errstate(all="ignore"):
+        for skel, program in zip(table, table.programs(X)):
+            names = skel.placeholders()
+            assert program.names == tuple(names)
+            compiled = Compiled(skel, X, names)
+            for _ in range(2):
+                theta = np.array([pool[rng.integers(len(pool))] if rng.random() < 0.3
+                                  else rng.normal(scale=3.0) for _ in names])
+                got, want = program(theta), compiled(theta)
+                assert got.shape == want.shape == (len(X),)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), skel
 
 
 @pytest.mark.parametrize("text", [

@@ -5,6 +5,7 @@ variables, numeric constants and placeholders as leaves.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -46,8 +47,15 @@ from srsub.dag import (
 from srsub.errors import Inconclusive
 from srsub.grammar import DEFAULT_OPS
 from srsub.exprtext import parse, to_text
+from srsub.regress import SkeletonTable, minimize
 
-from oracles import enumerate_by_programs, evaluate_nodewise, nrmse_masked, validate_dataset
+from oracles import (
+    enumerate_by_programs,
+    evaluate_nodewise,
+    nelder_mead_scipy,
+    nrmse_masked,
+    validate_dataset,
+)
 
 _CONSTANTS = (0.5, 1.0, 2.0, -3.0, 2.5066282746310002, 1e-3, 1e20)
 
@@ -454,3 +462,79 @@ def test_enumerate_dags_equals_program_oracle_in_order(arity, m, ops, allow_cons
         return [(d.key, d.nodes, d.root, d.arity) for d in itertools.islice(dags, _STREAM_PREFIX)]
 
     assert prefix(enumerate_dags(arity, budget)) == prefix(enumerate_by_programs(arity, budget))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arity=st.integers(1, 3), m=st.integers(0, 2),
+       ops=st.sets(st.sampled_from(sorted(OPS)), min_size=1),
+       allow_constants=st.booleans(), X=guard_points(3))
+@example(arity=2, m=2, ops=set(OPS), allow_constants=True, X=np.linspace(-2, 2, 72).reshape(24, 3))
+def test_skeleton_table_is_the_stream_and_compiles_it(arity, m, ops, allow_constants, X):
+    # the table's sequence view rebuilds the enumerated dags, and each of
+    # its programs gives `Compiled`'s values bit for bit
+    budget = GrammarBudget(max_intermediary_nodes=m, allowed_ops=ops,
+                           allow_constants=allow_constants)
+    dags = list(itertools.islice(enumerate_dags(arity, budget), _STREAM_PREFIX))
+    table = SkeletonTable(dags, arity)
+    assert len(table) == len(dags)
+    assert [(d.key, d.nodes, d.root, d.arity) for d in table] == [
+        (d.key, d.nodes, d.root, d.arity) for d in dags]
+    rng = np.random.default_rng(len(dags))
+    with np.errstate(all="ignore"):
+        for dag, program in zip(dags, table.programs(X)):
+            names = dag.placeholders()
+            theta = rng.normal(scale=3.0, size=len(names))
+            want = Compiled(dag, X, names)(theta)
+            assert np.array_equal(program(theta).view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def simplex_problems(draw):
+    """(objective, x0): a weighted quadratic in k = 1-4 constants, maybe
+    with a curved valley (slow, so some runs reach maxiter), values rounded
+    to a grid (plateaus, so vertices tie) and an inf wall."""
+    k = draw(st.integers(1, 4))
+    start = st.sampled_from([0.0, 1.0, -1.0, 2.5]) | st.floats(-10, 10)
+    x0 = draw(st.lists(start, min_size=k, max_size=k))
+    centre = draw(st.lists(st.floats(-5, 5), min_size=k, max_size=k))
+    curved = draw(st.booleans())
+    grid = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.25, 1.0]))
+    wall = draw(st.none() | st.floats(-3, 3))
+
+    def objective(t):
+        if wall is not None and t[0] > wall:
+            return math.inf
+        value = 0.0
+        for i in range(k):
+            value += (i + 1) * (t[i] - centre[i]) * (t[i] - centre[i])
+        if curved:
+            for i in range(k - 1):
+                gap = t[i + 1] - t[i] * t[i]
+                value += 100.0 * gap * gap
+        if grid and math.isfinite(value):
+            value = math.floor(value / grid) * grid
+        return value
+
+    return objective, x0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=simplex_problems())
+def test_minimize_takes_scipys_exact_steps(problem):
+    objective, x0 = problem
+    want = nelder_mead_scipy(objective, np.array(x0))
+    got = minimize(objective, x0)
+    assert got.nfev == want.nfev
+    assert np.array_equal(got.x.view(np.int64), np.asarray(want.x, dtype=float).view(np.int64))
+    assert np.float64(got.fun).view(np.int64) == np.float64(want.fun).view(np.int64)
+
+
+def test_minimize_matches_scipy_when_it_reaches_maxiter():
+    def rosenbrock(t):
+        return sum(100.0 * (t[i + 1] - t[i] * t[i]) ** 2 + (1 - t[i]) ** 2 for i in range(3))
+
+    x0 = [-1.2, 1.0, -1.2, 1.0]
+    want = nelder_mead_scipy(rosenbrock, np.array(x0))
+    assert want.nit == 200
+    got = minimize(rosenbrock, x0)
+    assert (got.nfev, got.x.tolist(), got.fun) == (want.nfev, want.x.tolist(), want.fun)

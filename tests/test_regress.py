@@ -263,6 +263,36 @@ def test_dagsearch_golden_fit(text, max_skeletons, want_expr, want_nrmse):
     assert nrmse(ds.y, evaluate(expr, ds.X)).hex() == want_nrmse
 
 
+def test_fit_after_warm_skeletons_builds_no_table():
+    from srsub.regress import _skeletons
+
+    budget = GrammarBudget(max_intermediary_nodes=1, allow_constants=True)
+    _skeletons(2, budget, 2000)
+    misses = _skeletons.cache_info().misses
+    fit_dagsearch(_dataset("x1*x2", n=100, seed=14), budget, max_skeletons=2000)
+    assert _skeletons.cache_info().misses == misses
+
+
+def test_dagsearch_fit_drops_each_shared_value_after_its_last_reader():
+    # arity 3 at n = 800 computes 5,540 placeholder-free arrays of 6.4 kB;
+    # kept to the end of the pass they would peak near 38 MB, and they peak
+    # near 2.3 MB when each is dropped after the last skeleton that reads it
+    import tracemalloc
+
+    from srsub.regress import _skeletons
+
+    ds = _dataset("x1*x2+x3", n=800, seed=15)
+    _skeletons(3, GrammarBudget(max_intermediary_nodes=regress.DAGSEARCH_NODES,
+                                allow_constants=True), regress.DAGSEARCH_SKELETONS)
+    tracemalloc.start()
+    try:
+        fit_dagsearch(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
 class _Counter:
     """Wraps a function and counts its calls."""
 
