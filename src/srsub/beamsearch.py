@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterator, Optional
@@ -107,34 +108,48 @@ class SearchResult:
         return self.best_path[0]
 
 
+def _reads_ranks(measure: str, d: int) -> bool:
+    """Whether a d-column problem is scored with codec, the measure that
+    reads its output's ranks: the univariate rank coefficient applies to
+    one-column problems, and its multivariate generalization covers the rest."""
+    return measure == "codec" or (measure == "xi" and d > 1)
+
+
 def _score_dataset(ds: Dataset, measure: str, memo: dict | None = None,
-                   ranks: RankVectors | None = None) -> float:
+                   ranks: RankVectors | None = None,
+                   floor: float = -math.inf) -> float:
+    if _reads_ranks(measure, ds.d):
+        return codec(ds.X, ds.y, ranks=ranks, memo=memo, floor=floor)
     if measure == "volume":
-        return volume_score(ds.X, ds.y, memo)
-    # the univariate rank coefficient applies to one-column problems; its
-    # multivariate generalization covers the rest
-    if measure == "xi" and ds.d == 1:
-        return chatterjee_xi(ds.X[:, 0], ds.y)
+        return volume_score(ds.X, ds.y, memo, floor)
     if measure == "kmac":
         return kmac(ds.X, ds.y, memo)
-    return codec(ds.X, ds.y, ranks=ranks, memo=memo)
+    return chatterjee_xi(ds.X[:, 0], ds.y)
 
 
 def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
-                    memo: dict | None = None) -> tuple[Dataset, float] | None:
+                    memo: dict | None = None, floor: float = -math.inf,
+                    ) -> tuple[Dataset, float, RankVectors | None] | None:
     """Apply a substitution and score the transformed problem: the child
-    dataset and its dependence score.
+    dataset, its dependence score, and the ranks of its output when the
+    measure read them (None otherwise).
 
     Returns None when the candidate is rejected: too many rows dropped, a
     near-constant output, a resolution-collapsed input column, or a
-    degenerate rank denominator.
+    degenerate rank denominator or point set.
 
-    `memo` is the dict the measure keeps its neighbor maps or volume scores
-    in, keyed by the standardized point set up to column sign; the measure
-    reads and fills it itself.  One dict serves a whole search: children of
-    any parent or level that see the same points (x1-x2 and x2-x1, or an
-    out-input child whose columns are an earlier child's) share one neighbor
-    map or one volume score.
+    The score is exact, or, only when the exact score is below `floor`, a
+    value in [exact, floor): codec and volume stop as soon as their score
+    provably falls below it (kmac and xi always score in full).  The search
+    passes the score a child must reach to enter its level's beam.
+
+    `memo` is the dict the measure keeps its neighbor maps, volumes or
+    volume scores in, keyed by the standardized point set up to column
+    sign; the measure reads and fills it itself.  One dict serves a whole
+    search: children of any parent or level that see the same points (x1-x2
+    and x2-x1, or an out-input child whose columns are an earlier child's)
+    share one neighbor map or one volume score, and a point set scored only
+    in part is extended by the next call that needs more of its rows.
     """
     try:
         ds = apply_substitution(parent.dataset, sub)
@@ -150,11 +165,14 @@ def score_candidate(parent: SearchNode, sub: Substitution, measure: str,
         return None
     if isinstance(sub, InputSub) and degenerate_column(ds.X[:, 0]):
         return None
+    ranks = None
+    if _reads_ranks(measure, ds.d):
+        ranks = parent.ranks if same_y else compute_ranks(ds.y)
     try:
-        score = _score_dataset(ds, measure, memo, parent.ranks if same_y else None)
+        score = _score_dataset(ds, measure, memo, ranks, floor)
     except DegenerateY:
         return None
-    return ds, score
+    return ds, score, ranks
 
 
 @cache
@@ -170,35 +188,59 @@ def _candidates(d: int, cfg: BeamConfig) -> tuple[Substitution, ...]:
     return tuple(itertools.islice(subs, CANDIDATE_CAP))
 
 
-def _children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
-              seq: Iterator[int], memo: dict) -> Iterator[SearchNode]:
-    """The accepted children of the beam's nodes in discovery order, at most
-    CANDIDATE_CAP candidates per parent."""
+def _best_children(beam: list[SearchNode], cfg: BeamConfig, depth: int,
+                   seq: Iterator[int], memo: dict) -> list[SearchNode]:
+    """The `beam_size` best children of the beam's nodes by (-score,
+    n_vars, seq), best first, from at most CANDIDATE_CAP candidates per
+    parent: what `heapq.nsmallest` picks from every accepted child.
+
+    The children kept so far wait in a heap whose top is the worst of them.
+    Once `beam_size` are kept, that child's score is the floor each further
+    candidate is scored against: a child scoring below it cannot enter, so
+    its score need not be exact (see `score_candidate`).
+    """
+    kept: list[tuple[float, int, int, SearchNode]] = []  # (score, -n_vars, -seq, node)
     for parent in beam:
         if parent.dataset.d <= 1:
             continue
         for sub in _candidates(parent.dataset.d, cfg):
-            scored = score_candidate(parent, sub, cfg.measure, memo)
-            if scored is not None:
-                ds, score = scored
-                yield SearchNode(dataset=ds, score=score, parent=parent,
-                                 edge=sub, depth=depth, seq=next(seq))
+            full = len(kept) == cfg.beam_size
+            scored = score_candidate(parent, sub, cfg.measure, memo,
+                                     kept[0][0] if full else -math.inf)
+            if scored is None:
+                continue
+            ds, score, ranks = scored
+            node = SearchNode(dataset=ds, score=score, parent=parent, edge=sub,
+                              depth=depth, seq=next(seq))
+            if ranks is not None:
+                node.ranks = ranks
+            # seq is unique, so no two entries compare equal up to the node
+            entry = (score, -node.n_vars, -node.seq, node)
+            if full:
+                heapq.heappushpop(kept, entry)
+            else:
+                heapq.heappush(kept, entry)
+    return [node for *_, node in sorted(kept, reverse=True)]
 
 
 def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     """Run the beam search; deterministic for identical inputs.
 
     Each level keeps the `beam_size` best children by (-score, n_vars,
-    seq), and while a level is scored no more than `beam_size` + 1 of its
-    children are held.  One memo of neighbor maps and volume scores lives
-    for the whole search (see `score_candidate`).
+    seq), and while a level is scored no more than `beam_size` of its
+    children are held.  A child is scored only until it provably cannot
+    enter the level's beam, so every survivor's score is exact.  One memo
+    of neighbor maps, volumes and volume scores lives for the whole search
+    (see `score_candidate`).
     """
     if root_ds.n < MIN_ROOT_ROWS:
         raise ValueError(f"need at least {MIN_ROOT_ROWS} rows, got {root_ds.n}")
     memo: dict = {}
     root = SearchNode(dataset=root_ds, score=float("-inf"))
     try:
-        root.score = _score_dataset(root_ds, cfg.measure, memo, root.ranks)
+        root.score = _score_dataset(
+            root_ds, cfg.measure, memo,
+            root.ranks if _reads_ranks(cfg.measure, root_ds.d) else None)
     except DegenerateY:
         pass
 
@@ -206,8 +248,7 @@ def search(root_ds: Dataset, cfg: BeamConfig) -> SearchResult:
     beam = [root]
     seq = itertools.count(1)
     for depth in range(1, max(root_ds.d - 1, 0) + 1):
-        beam = heapq.nsmallest(cfg.beam_size, _children(beam, cfg, depth, seq, memo),
-                               key=lambda node: (-node.score, node.n_vars, node.seq))
+        beam = _best_children(beam, cfg, depth, seq, memo)
         if not beam:
             break
         levels.append(beam)

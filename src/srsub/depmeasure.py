@@ -10,16 +10,30 @@ repeated calls are bitwise reproducible.
 
 `codec`, `kmac` and `volume_score` take an optional memo, a dict the caller
 keeps for as long as it likes (the beam search keeps one per search).  Each
-measure reads it itself: codec and kmac through `neighbor_map`, volume for its
-score.  Entries are keyed by the standardized point set the measure sees, up
-to the sign of each column: negating a column changes no squared distance and
-no |det|, so a hit returns exactly what a fresh call would.
+measure reads it itself: codec and kmac for a neighbour map, volume for its
+per-row volumes or its score.  Entries are keyed by the standardized point set
+the measure sees, up to the sign of each column: negating a column changes no
+squared distance and no |det|, so a hit returns exactly what a fresh call
+would.  A point set whose standardized values are not finite (a column sum
+that overflows) is degenerate.
+
+`codec` and `volume_score` also take a floor, and stop as soon as their score
+provably falls below it.  Both compute their per-row terms in row order, up
+to the checkpoints 64, 128, 256, ... rows, and after each one bound the
+final score from the rows seen: an unseen row adds at most r_i to codec's
+sum of min(r_i, r_nu(i)), and no volume is negative.  When the bound is below
+the floor it is returned.  So the result is the exact score, or, only when
+that is below the floor, a value in [exact, floor).  A memo entry holds the
+rows computed so far; a later call extends it, no row is computed twice, and
+a complete entry gives exactly what a fresh call would.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,6 +41,7 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateY
 
 _CROSS_TERM_CAP = 2000
+_FIRST_CHECKPOINT = 64  # rows after which codec and volume_score first bound their score
 
 
 @dataclass(frozen=True)
@@ -78,45 +93,92 @@ def _standardize(X: np.ndarray) -> np.ndarray:
     is 0), as `(X - X.mean(0)) / X.std(0)` computes it bit for bit on a
     C-ordered copy: the deviations are taken once and give the std too.
     Working on C order keeps the column sums, and so the result, the same
-    whatever the caller's memory layout."""
+    whatever the caller's memory layout.
+
+    Raises DegenerateY when the result is not finite: finite values near
+    the float maximum overflow the column sums, and no distance is defined
+    then."""
     X = np.ascontiguousarray(X, dtype=float)
     n = len(X)
     dev = X - X.sum(axis=0) / n
     std = np.sqrt(np.square(dev).sum(axis=0) / n)
     std[~(std > 0)] = 1.0
     dev /= std
+    if not np.isfinite(dev).all():
+        raise DegenerateY("standardizing overflowed")
     return dev
 
 
-def _memoised(memo: dict | None, kind: str, Z: np.ndarray, compute):
-    """`compute(Z)`, looked up in `memo` by the standardized point set Z up
-    to column sign: each column is negated where its first entry has the sign
-    bit set, -0.0 becomes 0.0, and the whole is hashed.  `kind` keeps the
-    measures apart."""
-    if memo is None:
-        return compute(Z)
+def _memo_key(kind: str, Z: np.ndarray) -> tuple:
+    """The memo key of the standardized point set Z up to column sign: each
+    column is negated where its first entry has the sign bit set, -0.0
+    becomes 0.0, and the whole is hashed.  `kind` keeps the measures apart."""
     canonical = np.where(np.signbit(Z[0]), -Z, Z) + 0.0
-    key = (kind, Z.shape,
-           hashlib.blake2b(canonical.view(np.uint8), digest_size=32).digest())
-    if key not in memo:
-        memo[key] = compute(Z)
-    return memo[key]
+    return kind, Z.shape, hashlib.sha256(canonical.view(np.uint8)).digest()
+
+
+def _checkpoints(start: int, n: int) -> Iterator[int]:
+    """The row counts past `start` at which a measure bounds its score:
+    64, 128, 256, ... below n, then n."""
+    hi = _FIRST_CHECKPOINT
+    while hi < n:
+        if hi > start:
+            yield hi
+        hi *= 2
+    yield n
+
+
+def _row_prefixes(memo: dict | None, key: tuple | None, Z: np.ndarray,
+                  rows: Callable) -> Iterator[np.ndarray]:
+    """Growing prefixes of the per-row results `rows(Z, lo, hi, tree=...)`
+    over every row of Z: what `memo[key]` holds first, then one prefix per
+    checkpoint.  Each prefix is stored in the memo before it is yielded, so
+    a caller that stops early keeps the rows it paid for.  One k-d tree,
+    built when the first row is computed, serves every checkpoint; a single
+    column needs none and is computed whole."""
+    n = len(Z)
+    done = memo.get(key) if memo is not None else None
+    if done is not None:
+        yield done
+        if len(done) == n:
+            return
+    start = 0 if done is None else len(done)
+    tree = cKDTree(Z) if Z.shape[1] > 1 else None
+    for hi in _checkpoints(start, n) if tree is not None else (n,):
+        part = rows(Z, start, hi, tree=tree)
+        done = part if done is None else np.concatenate([done, part])
+        if memo is not None:
+            memo[key] = done
+        start = hi
+        yield done
+
+
+def _neighbor_prefixes(X: np.ndarray, memo: dict | None) -> Iterator[np.ndarray]:
+    """Growing prefixes of `neighbor_map(X, memo)`."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    Z = _standardize(X)
+    key = _memo_key("nn", Z) if memo is not None else None
+    return _row_prefixes(memo, key, Z, nearest_neighbors)
 
 
 def neighbor_map(X: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """1-NN indices of X after per-column standardization: the graph that
     codec and kmac score over, as `nearest_neighbors` returns it.  It depends
     on X alone; with `memo`, a point set already seen up to column sign (say
-    x1-x2 after x2-x1) reuses its map."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return _memoised(memo, "nn", _standardize(X), nearest_neighbors)
+    x1-x2 after x2-x1) reuses its map, and a partial map is completed."""
+    for nu in _neighbor_prefixes(X, memo):
+        pass
+    return nu
 
 
-def nearest_neighbors(X: np.ndarray) -> np.ndarray:
+def nearest_neighbors(X: np.ndarray, lo: int = 0, hi: int | None = None,
+                      tree: cKDTree | None = None) -> np.ndarray:
     """1-NN indices with deterministic lowest-index tie-breaking: entry i of
-    the int64 result is the row nearest to row i.
+    the int64 result is the row nearest to row lo + i, for the rows lo to
+    hi (all by default).  Each row's entry is the same whatever the range;
+    `tree` may carry `cKDTree(X)` to serve several ranges.
 
     One column is searched exactly by sorting, more columns with a k-d
     tree.  A neighbor whose squared distance is within relative 1e-12 (plus
@@ -135,10 +197,13 @@ def nearest_neighbors(X: np.ndarray) -> np.ndarray:
     n, d = X.shape
     if n < 2:
         raise ValueError("need at least two rows")
+    hi = n if hi is None else hi
     if d == 1:
-        return _sorted_nn_1d(X)
-    dist, idx = cKDTree(X).query(X, k=min(n, 3))
-    rows = np.arange(n)
+        return _sorted_nn_1d(X, lo, hi)
+    if tree is None:
+        tree = cKDTree(X)
+    dist, idx = tree.query(X[lo:hi], k=min(n, 3))
+    rows = np.arange(lo, hi)
     valid = idx != rows[:, None]
     # distance to the closest non-self candidate
     dmin = np.where(valid, dist, np.inf).min(axis=1)
@@ -146,7 +211,7 @@ def nearest_neighbors(X: np.ndarray) -> np.ndarray:
     tie = valid & (dist <= tol[:, None])
     nu = np.where(tie, idx, n).min(axis=1).astype(np.int64)
     for i in np.flatnonzero(tie.sum(axis=1) > 1):
-        nu[i] = _brute_force_row(X, i)
+        nu[i] = _brute_force_row(X, lo + i)
     return nu
 
 
@@ -158,8 +223,8 @@ def _tie_tolerance(dmin: np.ndarray) -> np.ndarray:
     return dmin * (1 + 1e-12) + 1e-150
 
 
-def _sorted_nn_1d(X: np.ndarray) -> np.ndarray:
-    """Exact 1-NN of a single column from its sorted order.
+def _sorted_nn_1d(X: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Exact 1-NN of a single column from its sorted order, for rows lo to hi.
 
     The points within tie distance of a value are contiguous in sorted
     order, so the two neighbors on each side decide whether the nearest is
@@ -186,8 +251,9 @@ def _sorted_nn_1d(X: np.ndarray) -> np.ndarray:
     nu = np.empty(n, dtype=np.int64)
     nu[order] = order[np.where(near_left, pos - 1, np.minimum(pos + 1, n - 1))]
     for i in order[ties > 1]:
-        nu[i] = _brute_force_row(X, i)
-    return nu
+        if lo <= i < hi:
+            nu[i] = _brute_force_row(X, i)
+    return nu[lo:hi]
 
 
 def _brute_force_row(X: np.ndarray, i: int) -> int:
@@ -219,22 +285,33 @@ def chatterjee_xi(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _neighbor_indices(X: np.ndarray, n: int, memo: dict | None) -> np.ndarray:
-    nu = neighbor_map(X, memo)
-    if len(nu) != n:
+    _check_rows(X, n)
+    return neighbor_map(X, memo)
+
+
+def _check_rows(X: np.ndarray, n: int) -> None:
+    if len(X) != n:
         raise ValueError("inputs and output differ in length")
-    return nu
 
 
 def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
-          ranks: RankVectors | None = None,
-          memo: dict | None = None) -> float:
+          ranks: RankVectors | None = None, memo: dict | None = None,
+          floor: float = -math.inf) -> float:
     """Multivariate dependence via nearest-neighbor rank comparison.
 
     `form` selects between the direct minimum-based numerator and the
     algebraically rewritten numerator (n/2)(R + S - sum|r_i - r_nu(i)|) - L;
     the two agree exactly.  `ranks` may carry precomputed ranks of y.  The
     neighbor map comes from `neighbor_map(X, memo)`.
+
+    The minimum form stops once its score provably falls below `floor`.
+    After each checkpoint it bounds the score by taking min(r_i, r_nu(i))
+    as r_i on every unseen row; in exact integers, the bound is 1 before the
+    first row.  A bound below `floor` is returned, so the result is the
+    exact score or, when that is below `floor`, a value in [exact, floor).
     """
+    if form not in ("min", "rewritten"):
+        raise ValueError(f"unknown form {form!r}")
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     if n < 3:
@@ -242,22 +319,33 @@ def codec(X: np.ndarray, y: np.ndarray, form: str = "min",
     if ranks is None:
         ranks = compute_ranks(y)
     r = ranks.r
-    nu = _neighbor_indices(X, n, memo)
     den = ranks.spread
-    if den == 0:
-        raise DegenerateY("constant output column")
-    r_nu = r[nu]
     L = ranks.l_squares
-    if form == "min":
-        num = n * int(np.minimum(r, r_nu).sum()) - L
-    elif form == "rewritten":
+    if form == "rewritten":
+        nu = _neighbor_indices(X, n, memo)
+        if den == 0:
+            raise DegenerateY("constant output column")
+        r_nu = r[nu]
         R = int(r.sum())
         S = int(r_nu.sum())
         twice = n * (R + S - int(np.abs(r - r_nu).sum())) - 2 * L
         return twice / (2 * den)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return num / den
+    _check_rows(X, n)
+    if den == 0:
+        raise DegenerateY("constant output column")
+    total = 0  # sum of min(r_i, r_nu(i)) over the rows seen
+    unseen = int(r.sum())  # sum of r_i over the rows not seen
+    seen = 0
+    for nu in _neighbor_prefixes(X, memo):
+        rows = r[seen:len(nu)]
+        total += int(np.minimum(rows, r[nu[seen:]]).sum())
+        unseen -= int(rows.sum())
+        seen = len(nu)
+        if seen < n:
+            bound = (n * (total + unseen) - L) / den
+            if bound < floor:
+                return bound
+    return (n * total - L) / den
 
 
 def default_bandwidth(y: np.ndarray) -> float:
@@ -305,9 +393,12 @@ def kmac(X: np.ndarray, y: np.ndarray, memo: dict | None = None) -> float:
     return (local - cross) / den
 
 
-def parallelepiped_volumes(Z: np.ndarray) -> np.ndarray:
+def parallelepiped_volumes(Z: np.ndarray, lo: int = 0, hi: int | None = None,
+                           tree: cKDTree | None = None) -> np.ndarray:
     """|det| of the difference vectors from each row to its dim nearest
-    other rows in the given joint space, taken in (distance, index) order.
+    other rows in the given joint space, taken in (distance, index) order,
+    for the rows lo to hi (all by default).  Each row's volume is the same
+    whatever the range; `tree` may carry `cKDTree(Z)` to serve several.
 
     The k-d tree's order is kept where a row's window of dim + 2 distances
     holds no two equal ones, since it is then the (distance, index) order.
@@ -317,30 +408,42 @@ def parallelepiped_volumes(Z: np.ndarray) -> np.ndarray:
     n, dim = Z.shape
     if n < dim + 1:
         raise ValueError("need at least dim + 1 rows")
-    dist, idx = cKDTree(Z).query(Z, k=min(n, dim + 2))
-    rows = np.arange(n)
+    hi = n if hi is None else hi
+    if tree is None:
+        tree = cKDTree(Z)
+    dist, idx = tree.query(Z[lo:hi], k=min(n, dim + 2))
+    rows = np.arange(lo, hi)
     valid = idx != rows[:, None]
     # first `dim` non-self neighbors per row, still in distance order
     take = valid & (np.cumsum(valid, axis=1) <= dim)
-    nbrs = idx[take].reshape(n, dim)
+    nbrs = idx[take].reshape(hi - lo, dim)
     # the tree orders equidistant points by its own traversal
     for i in np.flatnonzero((np.diff(dist, axis=1) == 0).any(axis=1)):
-        diff = Z - Z[i]
+        diff = Z - Z[lo + i]
         d2 = np.einsum("ij,ij->i", diff, diff)
-        d2[i] = np.inf
+        d2[lo + i] = np.inf
         nbrs[i] = np.argsort(d2, kind="stable")[:dim]
-    diffs = Z[nbrs] - Z[:, None, :]
+    diffs = Z[nbrs] - Z[lo:hi, None, :]
     return np.abs(np.linalg.det(diffs))
 
 
-def volume_score(X: np.ndarray, y: np.ndarray, memo: dict | None = None) -> float:
+def volume_score(X: np.ndarray, y: np.ndarray, memo: dict | None = None,
+                 floor: float = -math.inf) -> float:
     """Baseline score from mean parallelepiped volume in joint (x, y) space.
 
     On data sampled densely from a function the d+1 difference vectors to the
     nearest neighbors are nearly linearly dependent, so volumes approach
     zero; the score 1/(1 + mean volume) makes higher mean more dependent.
     With `memo`, a joint point set already seen up to column sign reuses
-    its score.
+    its score, or the volumes of the rows computed so far.
+
+    The score stops once it provably falls below `floor`.  After each
+    checkpoint it is bounded by 1/(1 + partial/n), where `partial` is the
+    sum of the volumes seen, cut by relative n * 2**-50: float sums of m
+    non-negative terms are within relative (m - 1) * 2**-53 of exact in any
+    order, so the bound is never below the score as computed from all rows.
+    A bound below `floor` is returned, so the result is the exact score or,
+    when that is below `floor`, a value in [exact, floor).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -350,8 +453,22 @@ def volume_score(X: np.ndarray, y: np.ndarray, memo: dict | None = None) -> floa
     if n < d + 2:
         raise ValueError("need at least d + 2 observations")
     Z = _standardize(np.column_stack([X, y]))
-    return _memoised(memo, "volume", Z, _mean_volume_score)
-
-
-def _mean_volume_score(Z: np.ndarray) -> float:
-    return 1.0 / (1.0 + float(parallelepiped_volumes(Z).mean()))
+    key = None
+    if memo is not None:
+        key = _memo_key("volume", Z)
+        if isinstance(memo.get(key), float):
+            return memo[key]
+    partial = 0.0
+    seen = 0
+    for volumes in _row_prefixes(memo, key, Z, parallelepiped_volumes):
+        if len(volumes) == n:
+            break
+        partial += float(volumes[seen:].sum())
+        seen = len(volumes)
+        bound = 1.0 / (1.0 + partial * (1.0 - n * 2.0**-50) / n)
+        if bound < floor:
+            return bound
+    score = 1.0 / (1.0 + float(volumes.mean()))
+    if memo is not None:
+        memo[key] = score
+    return score

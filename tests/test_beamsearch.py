@@ -22,6 +22,7 @@ from srsub import (
 from srsub.beamsearch import SearchNode, _score_dataset, score_candidate, trace_records
 from srsub.bench import Problem, reduction_rate
 from srsub.depmeasure import compute_ranks
+from srsub.errors import DegenerateY
 from srsub.regress import holdout_mask
 from srsub.substitution import apply_substitution, column_maps
 
@@ -308,14 +309,21 @@ def test_node_ranks_computed_once_on_first_use(monkeypatch):
     assert np.array_equal(node.ranks.r, compute_ranks(ds.y).r)
     ranked.clear()
     result = search(ds, BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0)))
-    # at most once per node: the root and the survivors of every level
-    assert 0 < len(ranked) <= 1 + sum(len(level) for level in result.all_levels)
+    # at most once per output array: the root's, and each child's new y,
+    # which the child keeps; asking a survivor for its ranks ranks nothing
+    assert 0 < len(ranked) == len({id(y) for y in ranked})
+    count = len(ranked)
+    survivors = [node for level in result.all_levels for node in level]
+    assert all(np.array_equal(node.ranks.r, compute_ranks(node.dataset.y).r)
+               for node in survivors)
+    assert len(ranked) == count
 
 
 def test_each_output_array_ranked_once(monkeypatch):
-    # a node that keeps its parent's y reads its parent's ranks, and the
-    # root's codec score is taken with the root's ranks, so the nodes rank
-    # every distinct output array once and the root's y is ranked once in all
+    # a node that keeps its parent's y reads its parent's ranks, a child
+    # with a new y is scored with the ranks `score_candidate` takes of it
+    # and keeps them, and the root's codec score is taken with the root's
+    # ranks: every distinct output array scored is ranked exactly once
     import srsub.beamsearch as bs
     import srsub.depmeasure as dm
 
@@ -330,9 +338,12 @@ def test_each_output_array_ranked_once(monkeypatch):
     monkeypatch.setattr(bs, "compute_ranks", counting(by_nodes))
     monkeypatch.setattr(dm, "compute_ranks", counting(by_scores))
     ds = _dataset_from("x1*x2+x3")
+    calls = _record_scoring(monkeypatch)
     result = search(ds, BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0)))
-    assert len({id(y) for y in by_nodes}) == len(by_nodes) >= 2
-    assert [y for y in by_nodes + by_scores if y is ds.y] == [ds.y]
+    ranked = by_nodes + by_scores
+    assert len({id(y) for y in ranked}) == len(ranked) >= 2
+    assert {id(y) for y in ranked} == {id(child.y) for _, _, child, _, _ in calls}
+    assert [y for y in ranked if y is ds.y] == [ds.y]
     # the shared ranks are the ranks of the shared array, and the scores
     # are those of a search whose root ranks its y inside codec
     for level in result.all_levels:
@@ -347,11 +358,15 @@ def test_each_output_array_ranked_once(monkeypatch):
 
 class _NodeRankingItsOwnOutput(SearchNode):
     """A search node that ranks its own output, as nodes did before they
-    read their parent's ranks."""
+    read their parent's ranks, and drops the ranks the search hands it."""
 
     @property
     def ranks(self):
         return compute_ranks(self.dataset.y)
+
+    @ranks.setter
+    def ranks(self, handed):
+        pass
 
 
 def _washburn_first_pick(seed: int, split_first: bool) -> float:
@@ -384,8 +399,11 @@ def test_first_pick_survives_resampling_floors():
 
 
 def _record_scoring(monkeypatch):
-    """Log (parent, sub, transformed dataset, score) for the root and for
-    every candidate that reaches scoring; the root has no parent or sub."""
+    """Log (parent, sub, transformed dataset, score, floor) for the root
+    and for every candidate that reaches scoring; the root has no parent or
+    sub.  The floor is the score the candidate had to reach."""
+    import inspect
+
     import srsub.beamsearch as bs
 
     calls = []
@@ -403,12 +421,27 @@ def _record_scoring(monkeypatch):
     def score_dataset_spy(ds, measure, *args, **kwargs):
         score = score_dataset_orig(ds, measure, *args, **kwargs)
         parent, sub = current[-1] if current else (None, None)
-        calls.append((parent, sub, ds, score))
+        bound = inspect.signature(score_dataset_orig).bind(ds, measure, *args, **kwargs)
+        bound.apply_defaults()
+        calls.append((parent, sub, ds, score, bound.arguments["floor"]))
         return score
 
     monkeypatch.setattr(bs, "score_candidate", score_candidate_spy)
     monkeypatch.setattr(bs, "_score_dataset", score_dataset_spy)
     return calls
+
+
+def _count_pruned(calls, fresh) -> int:
+    """Check each recorded score against `fresh(child)`, its score taken
+    alone: equal, or, only where that is below the floor the child was
+    scored against, in [fresh, floor).  Returns how many were not equal."""
+    pruned = 0
+    for _, _, child, score, floor in calls:
+        exact = fresh(child)
+        if score != exact:
+            assert exact <= score < floor
+            pruned += 1
+    return pruned
 
 
 def test_shared_neighbor_maps_give_fresh_codec_scores(monkeypatch):
@@ -421,11 +454,13 @@ def test_shared_neighbor_maps_give_fresh_codec_scores(monkeypatch):
                          rng.uniform(-0.6, 2.0, 300)])
     ds = Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2])
     calls = _record_scoring(monkeypatch)
-    search(ds, BeamConfig(beam_size=3))
-    outinput = [(p, s, c) for p, s, c, _ in calls if isinstance(s, OutInputSub)]
+    result = search(ds, BeamConfig(beam_size=3))
+    outinput = [(p, s, c) for p, s, c, _, _ in calls if isinstance(s, OutInputSub)]
     assert any(c.n < p.dataset.n for p, _, c in outinput)
-    for _, _, child, score in calls:
-        assert score == codec(child.X, child.y)
+    assert _count_pruned(calls, lambda child: codec(child.X, child.y)) > 0
+    for level in result.all_levels:
+        for node in level:
+            assert node.score == codec(node.dataset.X, node.dataset.y)
 
 
 def test_neighbor_map_built_once_per_point_set(monkeypatch):
@@ -440,28 +475,36 @@ def test_neighbor_map_built_once_per_point_set(monkeypatch):
     X[::20, 2] = 0.0
     ds = Dataset.from_arrays(X, X[:, 0] * X[:, 1] + X[:, 2])
     cfg = BeamConfig(beam_size=3, budget=GrammarBudget(max_intermediary_nodes=0))
-    nn_inputs = []
+    nn_rows = []  # (point set, first row, end row) per call
     nearest_neighbors_orig = dm.nearest_neighbors
 
-    def recording_nearest_neighbors(Z):
-        nn_inputs.append(point_set_key(Z))
-        return nearest_neighbors_orig(Z)
+    def recording_nearest_neighbors(Z, lo=0, hi=None, tree=None):
+        nn_rows.append((point_set_key(Z), lo, len(Z) if hi is None else hi))
+        return nearest_neighbors_orig(Z, lo, hi, tree=tree)
 
     monkeypatch.setattr(dm, "nearest_neighbors", recording_nearest_neighbors)
     calls = _record_scoring(monkeypatch)
     search(ds, cfg)
-    standardized = [standardize_columns(child.X) for _, _, child, _ in calls]
+    standardized = [standardize_columns(child.X) for _, _, child, _, _ in calls]
     keys = {point_set_key(Z) for Z in standardized}
-    children = [(parent, sub, child) for parent, sub, child, _ in calls if sub is not None]
+    children = [(parent, sub, child) for parent, sub, child, _, _ in calls if sub is not None]
     assert {"x1-x2", "x2-x1"} <= {to_text(sub.g) for _, sub, _ in children
                                   if isinstance(sub, InputSub)}
     assert len({id(parent) for parent, _, _ in children}) > 1
     assert any(child.n < parent.dataset.n for parent, _, child in children)
     # some point sets reach the search under more than one column sign
     assert len({Z.tobytes() for Z in standardized}) > len(keys)
-    # one call per distinct point set, the root's included, and none twice
-    assert len(nn_inputs) == len(set(nn_inputs)) < len(children)
-    assert set(nn_inputs) == keys
+    # every point set scored, the root's included, gets a map from row 0
+    # on, extended a row range at a time, and no row is computed twice
+    ranges = {}
+    for key, lo, hi in nn_rows:
+        ranges.setdefault(key, []).append((lo, hi))
+    assert set(ranges) == keys and len(keys) < len(children)
+    for spans in ranges.values():
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    # some children are pruned: their maps stop short of the last row
+    assert any(spans[-1][1] < shape[0] for (shape, _), spans in ranges.items())
+    assert _count_pruned(calls, lambda child: _score_dataset(child, "codec")) > 0
 
 
 def test_shared_neighbor_map_keyed_by_surviving_rows():
@@ -483,7 +526,7 @@ def test_shared_neighbor_map_keyed_by_surviving_rows():
                                  memo=memo)
         assert scored is not None
         children.append(scored)
-    (a, score_a), (b, score_b) = children
+    (a, score_a, _), (b, score_b, _) = children
     assert a.n == b.n and not np.array_equal(a.origin_rows, b.origin_rows)
     assert len(memo) == 2
     assert score_a == codec(a.X, a.y)
@@ -505,13 +548,17 @@ def _tied_columns_dataset():
 
 
 @pytest.mark.parametrize("beam_size", [1, 2, 3, 4])
-@pytest.mark.parametrize("which", ["sampled", "tied"])
-def test_survivors_equal_sorting_every_child(beam_size, which):
+@pytest.mark.parametrize("which, measure", [
+    pytest.param(which, measure, id=which if measure == "codec" else f"{which}-{measure}")
+    for measure in ("codec", "volume", "kmac") for which in ("sampled", "tied")
+])
+def test_survivors_equal_sorting_every_child(beam_size, which, measure):
     if which == "sampled":
         ds = sample_problem(Problem(id="m", d=4, f_true=parse("x1*x2+x3*x4")), 200, seed=1)
     else:
         ds = _tied_columns_dataset()
-    cfg = BeamConfig(beam_size=beam_size, budget=GrammarBudget(max_intermediary_nodes=0))
+    cfg = BeamConfig(beam_size=beam_size, measure=measure,
+                     budget=GrammarBudget(max_intermediary_nodes=0))
     result = search(ds, cfg)
     want = beam_levels_by_sorting(result.root, cfg)
     assert _level_records(result.all_levels) == _level_records(want)
@@ -538,12 +585,35 @@ def test_scores_equal_fresh_scores_under_every_measure(monkeypatch, measure):
                                    budget=GrammarBudget(max_intermediary_nodes=0)))
     survivors = [node for level in result.all_levels for node in level]
     assert {node.depth for node in survivors} == {1, 2}
-    assert any(isinstance(s, OutInputSub) and c.n < p.dataset.n for p, s, c, _ in calls)
-    # every scored child, survivors included, as if scored with no shared
-    # ranks or neighbour maps
-    for _, _, child, score in calls:
-        assert score == _score_dataset(child, measure)
+    assert any(isinstance(s, OutInputSub) and c.n < p.dataset.n for p, s, c, _, _ in calls)
+    # every scored child as if scored with no shared ranks, neighbour maps
+    # or volumes, or, below its floor, in [fresh, floor); kmac scores in
+    # full, and xi stops early only on two columns, where it is codec
+    pruned = _count_pruned(calls, lambda child: _score_dataset(child, measure))
+    assert (pruned > 0) == (measure != "kmac")
+    for node in survivors:
+        assert node.score == _score_dataset(node.dataset, measure)
 
+
+
+@pytest.mark.parametrize("measure", ["codec", "volume"])
+def test_overflowing_point_sets_leave_the_root_unscored_and_reject_the_child(measure):
+    # finite values near the float maximum overflow the column sums when a
+    # point set is standardized: the root keeps -inf, and a child that sees
+    # them is rejected as a degenerate point set
+    rng = np.random.default_rng(5)
+    X = rng.uniform(1, 2, size=(200, 3))
+    y = X[:, 0] * X[:, 1] + X[:, 2]
+    if measure == "volume":
+        y[:3] = 1.5e308  # the output of the root and of every input child
+    else:
+        X[:3, 2] = 1.5e308  # x3, which the child below keeps
+    ds = Dataset.from_arrays(X, y)
+    assert search(ds, BeamConfig(measure=measure)).root.score == float("-inf")
+    sub = InputSub(g=parse("x1*x2"), I=(0, 1))
+    with pytest.raises(DegenerateY):
+        _score_dataset(apply_substitution(ds, sub), measure)
+    assert score_candidate(SearchNode(dataset=ds, score=float("-inf")), sub, measure) is None
 
 def _pinned_search_dataset(which):
     """x1*x2+x3 sampled at n = 300 (seed 5), or x1*x2+x3/x4 with 1 % noise."""

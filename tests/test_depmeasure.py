@@ -439,3 +439,137 @@ def test_volume_score_orders_functional_above_noise():
     y_fun = X[:, 0] + X[:, 1]
     y_ind = rng.uniform(-2, 2, size=400)
     assert volume_score(X, y_fun) > volume_score(X, y_ind)
+
+
+@st.composite
+def _floored_samples(draw):
+    """A sample of 80 to 300 rows, past the first checkpoint, in 1 to 3
+    input columns: on a small integer grid (tie-heavy, with duplicate rows)
+    or spread continuously, with a functional, noisy or rounded output, and
+    optionally with rows dropped as a substitution drops them."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(80, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from((1, 3, 50)))
+    X = rng.integers(-width, width + 1, size=(n, d)).astype(float)
+    if draw(st.booleans()):
+        X += rng.uniform(size=(n, d))
+    y = X.sum(axis=1) + draw(st.sampled_from((0.0, 0.1, 10.0))) * rng.normal(size=n)
+    if draw(st.booleans()):
+        y = np.round(y)
+    drop = draw(st.sampled_from((0.0, 0.05, 0.2)))
+    if drop:
+        keep = rng.uniform(size=n) >= drop
+        X, y = X[keep], y[keep]
+    return X, y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_floored_samples(), st.lists(st.sampled_from((-0.5, 0.0, 1e-9, 0.01, 0.1, 0.3, 0.6, 2.0)),
+                                    min_size=1, max_size=3))
+def test_floored_scores_bound_the_exact_score_and_extend_the_memo(sample, lifts):
+    # under a floor the score is exact, or, only where the exact score is
+    # below the floor, in [exact, floor); with the floors taken highest
+    # first, the rows each call leaves in the memo are extended by the
+    # next, and the completed entry scores as a fresh call does, bit for bit
+    X, y = sample
+    for measure in (codec, volume_score):
+        try:
+            exact = measure(X, y)
+        except DegenerateY:
+            assert measure is codec and len(np.unique(y)) == 1
+            continue
+        memo = {}
+        for lift in sorted(lifts, reverse=True):
+            floor = exact + lift
+            score = measure(X, y, memo=memo, floor=floor)
+            assert score == exact or exact <= score < floor
+        assert measure(X, y, memo=memo) == exact
+        assert measure(X, y, memo=memo, floor=exact + 2.0) == exact
+    assert neighbor_map(X, memo={}).tobytes() == nearest_neighbors(_standardize(X)).tobytes()
+
+
+def _recording_row_ranges(monkeypatch, name):
+    """Log the (lo, hi) row range of every call to the named per-row
+    function of depmeasure."""
+    import srsub.depmeasure as dm
+
+    ranges = []
+    orig = getattr(dm, name)
+
+    def recording(Z, lo=0, hi=None, tree=None):
+        ranges.append((lo, len(Z) if hi is None else hi))
+        return orig(Z, lo, hi, tree=tree)
+
+    monkeypatch.setattr(dm, name, recording)
+    return ranges
+
+
+def test_floor_stops_codec_at_a_checkpoint_and_a_later_call_resumes(monkeypatch):
+    rng = np.random.default_rng(61)
+    X = rng.uniform(size=(800, 2))
+    y = rng.uniform(size=800)  # independent of X: codec near 0
+    exact = codec(X, y)
+    ranges = _recording_row_ranges(monkeypatch, "nearest_neighbors")
+    memo = {}
+    # an unseen row adds at most r_i, so after m of 800 rows the bound is
+    # about 1 - m/800: 0.92 at 64 rows, 0.84 at 128, 0.68 at 256
+    assert exact <= codec(X, y, memo=memo, floor=0.99) < 0.99
+    assert ranges == [(0, 64)]
+    assert exact <= codec(X, y, memo=memo, floor=0.8) < 0.8
+    assert ranges == [(0, 64), (64, 128), (128, 256)]
+    assert codec(X, y, memo=memo) == exact
+    assert ranges == [(0, 64), (64, 128), (128, 256), (256, 512), (512, 800)]
+    assert neighbor_map(X, memo) is memo[next(iter(memo))]
+    assert len(ranges) == 5
+    assert codec(X, y, memo=memo, floor=0.99) == exact
+
+
+def test_floor_stops_volume_at_a_checkpoint_and_a_finished_entry_is_its_score(monkeypatch):
+    rng = np.random.default_rng(67)
+    X = rng.uniform(size=(800, 2))
+    y = rng.uniform(size=800)
+    exact = volume_score(X, y)
+    ranges = _recording_row_ranges(monkeypatch, "parallelepiped_volumes")
+    memo = {}
+    assert exact <= volume_score(X, y, memo, floor=1.0) < 1.0
+    assert ranges == [(0, 64)]
+    (entry,) = memo.values()
+    assert len(entry) == 64
+    assert volume_score(X, y, memo) == exact
+    assert ranges == [(0, 64), (64, 128), (128, 256), (256, 512), (512, 800)]
+    (entry,) = memo.values()
+    assert entry == exact and isinstance(entry, float)
+    assert volume_score(X, y, memo, floor=1.0) == exact
+    assert len(ranges) == 5
+
+
+def test_row_ranges_equal_the_full_call_row_for_row():
+    rng = np.random.default_rng(71)
+    Z = _standardize(np.round(rng.normal(size=(300, 3)) * 2))  # many ties
+    nn, vols = nearest_neighbors(Z), parallelepiped_volumes(Z)
+    cuts = [0, 64, 100, 256, 300]
+    assert np.concatenate([nearest_neighbors(Z, lo, hi)
+                           for lo, hi in zip(cuts, cuts[1:])]).tobytes() == nn.tobytes()
+    assert np.concatenate([parallelepiped_volumes(Z, lo, hi)
+                           for lo, hi in zip(cuts, cuts[1:])]).tobytes() == vols.tobytes()
+    x = Z[:, :1]
+    assert nearest_neighbors(x, 64, 256).tobytes() == nearest_neighbors(x)[64:256].tobytes()
+
+
+@pytest.mark.parametrize("measure", [codec, kmac, volume_score])
+def test_overflowing_standardization_is_degenerate(measure):
+    # finite values near the float maximum overflow the column sums, and
+    # standardizing them gives no finite point set
+    rng = np.random.default_rng(73)
+    X = rng.uniform(size=(100, 2))
+    y = X[:, 0] + X[:, 1]
+    huge = X.copy()
+    huge[:3, 1] = 1.5e308
+    with pytest.raises(DegenerateY):
+        measure(huge, y)
+    if measure is volume_score:
+        y_huge = y.copy()
+        y_huge[:3] = 1.5e308
+        with pytest.raises(DegenerateY):
+            measure(X, y_huge)
